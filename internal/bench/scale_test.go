@@ -103,8 +103,8 @@ func TestPartitionedShutdownReleasesHeap(t *testing.T) {
 }
 
 // TestDeploymentShutdownReleasesHeap pins the parked-proc leak fix:
-// back-to-back deployments previously each pinned ~100 MB (every proc
-// goroutine parked at its resume channel, plus the event free lists), so a
+// back-to-back deployments previously each pinned ~100 MB (every proc left
+// suspended in its last blocking call, plus the event free lists), so a
 // ladder of runs grew the heap linearly. With Engine.Shutdown reaping each
 // finished deployment, retained heap must stay flat across repeats.
 func TestDeploymentShutdownReleasesHeap(t *testing.T) {

@@ -95,7 +95,7 @@ func BenchmarkTimerCancel(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a full proc sleep/wake round trip (two
-// goroutine handoffs per iteration). The cached per-proc wake thunk makes
+// coroutine switches per iteration). The cached per-proc wake thunk makes
 // the scheduling half 0 allocs/op.
 func BenchmarkProcSwitch(b *testing.B) {
 	k := New()

@@ -656,8 +656,8 @@ func (e *Engine) RunWindows(n int) int {
 // Shutdown tears the deployment down: stops the worker pool and reaps every
 // kernel's parked procs and event pools. Back-to-back deployments in one
 // process previously pinned ~100 MB each, because every proc goroutine left
-// blocked at its resume channel (plus the event free lists keeping payload
-// buffers reachable) survived the deployment. The engine must be paused at a
+// suspended in its last blocking call (plus the event free lists keeping
+// payload buffers reachable) survived the deployment. The engine must be paused at a
 // barrier (not running). A shut-down engine may be rescheduled and run
 // again: the next Run/RunWindows restarts the worker pool with fresh barrier
 // state (kernel queues and free lists start empty, as after construction).

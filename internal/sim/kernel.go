@@ -2,10 +2,11 @@
 //
 // The kernel maintains a priority queue of events ordered by virtual time,
 // with ties broken by insertion sequence so that runs are exactly
-// reproducible. Simulated "threads" (Proc) are backed by goroutines, but the
-// kernel guarantees that at most one proc runs at any instant and that
-// control is handed over synchronously, so the simulation is deterministic
-// regardless of the Go scheduler.
+// reproducible. Simulated "threads" (Proc) are coroutines: the kernel resumes
+// a proc by switching straight onto its stack, and the proc switches back at
+// its next blocking call. At most one proc runs at any instant and control
+// passes synchronously, without the Go scheduler choosing who runs next, so
+// the simulation is deterministic regardless of it.
 //
 // Virtual time is measured in integer nanoseconds (Time). All latencies in
 // the PRDMA models are expressed as time.Duration and added to Time values.
@@ -159,13 +160,11 @@ type Kernel struct {
 	// deterministic, enumerable injection point.
 	fired uint64
 
-	// handoff channel used by procs to return control to the kernel.
-	handoff chan struct{}
 	// current proc, nil while the kernel itself runs an event callback.
 	cur *Proc
 
 	procs int // live procs, for leak diagnostics
-	// live registers every spawned proc until its goroutine exits, so
+	// live registers every spawned proc until its coroutine finishes, so
 	// Shutdown can reap procs parked in blocking calls (or never started).
 	live    map[*Proc]struct{}
 	stopped bool
@@ -178,7 +177,7 @@ type Kernel struct {
 
 // New returns a fresh kernel at virtual time zero.
 func New() *Kernel {
-	return &Kernel{handoff: make(chan struct{}), engID: -1, live: make(map[*Proc]struct{})}
+	return &Kernel{engID: -1, live: make(map[*Proc]struct{})}
 }
 
 // Engine returns the multi-kernel engine this kernel belongs to, or nil for
@@ -488,12 +487,12 @@ func (k *Kernel) RunEvents(n uint64) uint64 {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown kills every live proc and releases the kernel's event pools so a
-// finished deployment stops pinning memory. Each proc goroutine is parked at
-// its resume channel (in a blocking call, or at spawn if it never started);
-// Shutdown resumes it with the kill flag set, which unwinds it synchronously
-// on the caller's goroutine — when Shutdown returns, no proc goroutine
-// remains. A proc whose deferred cleanup blocks again is simply re-reaped on
-// the next loop iteration. Must not be called from inside the simulation.
+// finished deployment stops pinning memory. Each proc's coroutine is
+// suspended in a blocking call, or at spawn if it never started; Shutdown
+// resumes it with the kill flag set, which unwinds it before control
+// switches back — when Shutdown returns, no proc goroutine remains. A proc
+// whose deferred cleanup blocks again is simply re-reaped on the next loop
+// iteration. Must not be called from inside the simulation.
 func (k *Kernel) Shutdown() {
 	if k.cur != nil {
 		panic("sim: Shutdown from inside the simulation")

@@ -1,22 +1,38 @@
+// Procs are iter.Pull coroutines, which need Go 1.23. The constraint raises
+// this file's language version above the module's go directive, which stays
+// at 1.22 for the separately pinned perfbench module that builds this one.
+
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"time"
 )
 
-// Proc is a simulated thread of execution. Procs are backed by goroutines,
-// but the kernel ensures at most one proc runs at a time: a proc only
-// executes between a resume handoff from the kernel and its next blocking
-// call (Sleep, Yield, Chan.Pop, Cond.Wait, ...), at which point it hands
-// control back synchronously. This gives sequential, deterministic semantics
-// while letting protocol code be written in a natural blocking style.
+// Proc is a simulated thread of execution. Each proc is a coroutine
+// (iter.Pull): the kernel resumes it by switching directly to its stack, and
+// the proc runs until its next blocking call (Sleep, Yield, Chan.Pop,
+// Cond.Wait, ...), where it switches straight back. Exactly one of the
+// kernel and its procs runs at any instant, and the switch bypasses the Go
+// scheduler's run queues, so the semantics are sequential and deterministic
+// while protocol code keeps a natural blocking style.
 type Proc struct {
 	K      *Kernel
 	Name   string
-	resume chan struct{}
 	dead   bool
 	killed bool
+
+	// next resumes the coroutine until it yields or returns; yield is the
+	// coroutine's side of the switch, captured when it first runs.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// panicked holds a non-kill panic caught on the proc's stack until
+	// schedule re-raises it on the kernel's side of the switch.
+	panicked *ProcPanic
 
 	// wakeFn is the proc's resume thunk, allocated once at spawn so that
 	// Sleep/wake cycles schedule with zero allocations.
@@ -33,6 +49,21 @@ type Proc struct {
 	waitSignaled bool
 }
 
+// ProcPanic is what the kernel re-raises when a proc panics with anything
+// other than its kill signal: the panic unwinds the proc (which is then
+// dead and reaped) and surfaces from the Run/RunUntil/RunEvents call, or the
+// engine window, that resumed it.
+type ProcPanic struct {
+	Proc  string // the proc's name
+	At    Time   // virtual time of the panic
+	Value any    // the original panic value
+	Stack []byte // the proc's stack at the panic
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %s panicked at %v: %v\n\nproc stack:\n%s", e.Proc, e.At, e.Value, e.Stack)
+}
+
 // Go spawns a new proc that starts executing at the current virtual time
 // (after already-scheduled events at the same timestamp).
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
@@ -46,33 +77,38 @@ func (k *Kernel) GoAfter(d time.Duration, name string, fn func(p *Proc)) *Proc {
 
 // GoAt spawns a proc that starts at time t.
 func (k *Kernel) GoAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{K: k, Name: name, resume: make(chan struct{})}
+	p := &Proc{K: k, Name: name}
 	p.wakeFn = func() { k.schedule(p) }
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
+		if !p.killed { // a proc killed before its first resume never runs
+			fn(p)
+		}
+	})
 	k.procs++
 	k.live[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first scheduling
-		if !p.killed {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(procKilled); ok {
-							return // Kill() unwound the proc
-						}
-						panic(r)
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.dead = true
-		p.K.procs--
-		delete(p.K.live, p)
-		p.K.cur = nil
-		p.K.handoff <- struct{}{}
-	}()
 	k.Schedule(t, p.wakeFn)
 	return p
+}
+
+// exit is deferred on the proc's coroutine, so it runs however fn ends: by
+// returning, by the kill unwind, by a panic, or by runtime.Goexit (which
+// the coroutine then propagates to its resumer). It reaps the proc and
+// parks a genuine panic for schedule to re-raise with the proc's identity.
+func (p *Proc) exit() {
+	r := recover()
+	p.dead = true
+	p.K.procs--
+	delete(p.K.live, p)
+	p.K.cur = nil
+	if r == nil {
+		return
+	}
+	if _, ok := r.(procKilled); ok {
+		return // Kill() unwound the proc
+	}
+	p.panicked = &ProcPanic{Proc: p.Name, At: p.K.now, Value: r, Stack: debug.Stack()}
 }
 
 // procKilled is the panic payload used to unwind a killed proc.
@@ -84,8 +120,11 @@ func (k *Kernel) schedule(p *Proc) {
 		return
 	}
 	k.cur = p
-	p.resume <- struct{}{}
-	<-k.handoff
+	p.next()
+	if pp := p.panicked; pp != nil {
+		p.panicked = nil
+		panic(pp)
+	}
 }
 
 // block hands control back to the kernel; the proc stays suspended until
@@ -95,8 +134,7 @@ func (p *Proc) block() {
 		panic("sim: blocking call from a proc that is not running")
 	}
 	p.K.cur = nil
-	p.K.handoff <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.K.cur = p
 	if p.killed {
 		panic(procKilled{})
