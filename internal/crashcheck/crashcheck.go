@@ -272,17 +272,14 @@ type run struct {
 	cfg Config
 	ops []opSpec
 
-	k      *sim.Kernel
+	// crashDriver holds the kernel and the crash/recovery state.
+	crashDriver
+
 	srv    *host.Host
 	engine *rpc.Server
 	store  *rpc.Store
 	client rpc.Recoverable
 	log    *redolog.Log
-
-	serverUp     bool
-	generation   int
-	reestGen     int
-	reconnecting bool
 
 	// acked maps key -> highest version whose durability completed.
 	acked map[uint64]uint32
@@ -290,7 +287,6 @@ type run struct {
 	// blocked inside a call (stranded if still set at the end).
 	progress []int
 	inCall   []bool
-	replayed int
 
 	// recoverViolations collects invariant 2/3/4 breaks observed by the
 	// redo log's OnRecover hook during this run.
@@ -325,12 +321,21 @@ func newRun(cfg Config, withMonitor bool) *run {
 	engine := rpc.NewServer(srv, store, rcfg)
 
 	r := &run{
-		cfg:      cfg,
-		k:        k,
+		cfg: cfg,
+		crashDriver: crashDriver{
+			k:          k,
+			restart:    cfg.Restart,
+			retransfer: cfg.Retransfer,
+			fail: func() {
+				srv.Crash()
+				engine.Crash()
+			},
+			restore:  srv.Restart,
+			serverUp: true,
+		},
 		srv:      srv,
 		engine:   engine,
 		store:    store,
-		serverUp: true,
 		acked:    make(map[uint64]uint32),
 		progress: make([]int, cfg.Pipeline),
 		inCall:   make([]bool, cfg.Pipeline),
@@ -344,6 +349,7 @@ func newRun(cfg Config, withMonitor bool) *run {
 		panic(fmt.Sprintf("crashcheck: %v is not recoverable", cfg.Kind))
 	}
 	r.client = rec
+	r.reestablish = rec.Reestablish
 	r.log = client.(interface{ Log() *redolog.Log }).Log()
 	r.log.OnRecover = r.checkRecover
 
@@ -352,24 +358,11 @@ func newRun(cfg Config, withMonitor bool) *run {
 		k.Go("crashcheck-worker", func(p *sim.Proc) { r.worker(p, w) })
 	}
 	if withMonitor {
-		// One proc owns re-establishment so replay is enqueued before
-		// any worker's retried or new requests. The reference run skips
-		// it: its poll loop would keep the event queue alive forever.
-		k.Go("crashcheck-monitor", func(p *sim.Proc) {
-			for {
-				p.Sleep(20 * time.Microsecond)
-				if r.serverUp && r.reestGen != r.generation {
-					r.reconnecting = true
-					replayed, err := r.client.Reestablish(p)
-					if err != nil {
-						panic(err) // serial harness: reestablish cannot refuse
-					}
-					r.replayed += replayed
-					r.reestGen = r.generation
-					r.reconnecting = false
-				}
-			}
-		})
+		// The reference run never crashes, so it has nothing to
+		// re-establish: it runs without the monitor, and its queue drains
+		// when the workload ends. Its event count therefore leaves out
+		// the monitor ticks that a point's event index counts.
+		r.startMonitor("crashcheck-monitor")
 	}
 	return r
 }
@@ -390,9 +383,7 @@ func (r *run) worker(p *sim.Proc, w int) {
 		op := r.ops[i]
 		r.inCall[w] = true
 		for {
-			for !r.serverUp || r.reconnecting || r.reestGen != r.generation {
-				p.Sleep(r.cfg.Retransfer / 4)
-			}
+			r.waitReady(p)
 			var err error
 			if op.batch {
 				reqs := make([]*rpc.Request, len(op.reqs))
@@ -417,22 +408,6 @@ func (r *run) worker(p *sim.Proc, w int) {
 		r.inCall[w] = false
 		r.progress[w]++
 	}
-}
-
-// crash fails the server and schedules its restart, exactly as the §5.4
-// failure driver does. Safe to call while already down (no-op).
-func (r *run) crash() {
-	if !r.serverUp {
-		return
-	}
-	r.serverUp = false
-	r.srv.Crash()
-	r.engine.Crash()
-	r.k.AfterFunc(r.cfg.Restart, func() {
-		r.srv.Restart()
-		r.serverUp = true
-		r.generation++
-	})
 }
 
 // checkRecover is the redo log's OnRecover hook: invariants 2–4.
@@ -632,33 +607,12 @@ func pickPoints(cfg Config, events uint64) []Point {
 // settle. Returns the run (for verification) and the crash time.
 func runPoint(cfg Config, pt Point, refSpan time.Duration) (*run, sim.Time) {
 	r := newRun(cfg, true)
-	r.k.RunEvents(pt.Event)
-	if pt.TornFrac > 0 {
-		// Aim inside an in-flight persist: advance the clock (executing
-		// any earlier events) to the chosen fraction of its window.
-		if ws := r.srv.PM.InflightTornWindows(r.k.Now()); len(ws) > 0 {
-			w := ws[int(pt.Event)%len(ws)]
-			start := w.Start
-			if now := r.k.Now(); start < now {
-				start = now
-			}
-			t := start.Add(time.Duration(pt.TornFrac * float64(w.End.Sub(start))))
-			if t > r.k.Now() {
-				r.k.RunUntil(t)
-			}
-		}
-	}
-	at := r.k.Now()
-	r.crash()
-	if pt.SecondCrash {
-		// Land a second crash shortly after the restart, while the
-		// recovery scan and replay are typically still in flight.
-		delta := time.Duration(pt.Event%40) * time.Microsecond
-		r.k.AfterFunc(cfg.Restart+delta, r.crash)
-	}
-	// The monitor proc polls forever, so the event queue never drains;
-	// bound the settle phase by time instead. The horizon comfortably
-	// covers both restarts plus a full re-execution of the workload.
+	at := r.crashAt(pt, r.srv.PM)
+	// Once the last crash is recovered the monitor exits, and the run goes
+	// quiet well before the horizon: the queue drains, or holds only a few
+	// timers set beyond it. The horizon bounds a point whose recovery never
+	// completes; it comfortably covers both restarts plus a full
+	// re-execution of the workload.
 	horizon := at.Add(3*cfg.Restart + 2*refSpan + 100*time.Duration(len(r.ops))*cfg.Retransfer/10)
 	r.k.RunUntil(horizon)
 	return r, at

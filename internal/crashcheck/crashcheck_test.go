@@ -7,6 +7,25 @@ import (
 	"prdma/internal/rpc"
 )
 
+// sweepCleanReplays pins TestSweepClean's replay total per cell. Replays
+// depend on where crashes land and on how recovery and the settle phase
+// run, so a change there that moves them shows up in every mix, not only
+// the readwrite mix the benchmark fingerprints.
+var sweepCleanReplays = map[string]int{
+	"S-RFlush-RPC/writes":    1109,
+	"S-RFlush-RPC/readwrite": 745,
+	"S-RFlush-RPC/batch":     624,
+	"SFlush-RPC/writes":      998,
+	"SFlush-RPC/readwrite":   679,
+	"SFlush-RPC/batch":       591,
+	"W-RFlush-RPC/writes":    1045,
+	"W-RFlush-RPC/readwrite": 727,
+	"W-RFlush-RPC/batch":     669,
+	"WFlush-RPC/writes":      1084,
+	"WFlush-RPC/readwrite":   697,
+	"WFlush-RPC/batch":       599,
+}
+
 // TestSweepClean sweeps crash points across every durable RPC family and
 // traffic mix and expects zero invariant violations: acked writes survive
 // every crash placement, replay is ordered, torn entries are rejected,
@@ -15,7 +34,8 @@ func TestSweepClean(t *testing.T) {
 	for _, kind := range rpc.DurableKinds {
 		for _, mix := range Mixes {
 			kind, mix := kind, mix
-			t.Run(kind.String()+"/"+mix.String(), func(t *testing.T) {
+			cell := kind.String() + "/" + mix.String()
+			t.Run(cell, func(t *testing.T) {
 				t.Parallel()
 				cfg := DefaultConfig(kind, mix, 42)
 				cfg.Points = 60
@@ -33,6 +53,11 @@ func TestSweepClean(t *testing.T) {
 				}
 				if res.Replayed == 0 {
 					t.Errorf("no crash point led to a log replay; the sweep is not exercising recovery")
+				}
+				if want, ok := sweepCleanReplays[cell]; !ok {
+					t.Errorf("no pinned replay count for this cell")
+				} else if res.Replayed != want {
+					t.Errorf("replayed %d entries, want %d", res.Replayed, want)
 				}
 			})
 		}

@@ -111,19 +111,15 @@ type pmpoolRun struct {
 	cfg    PMPoolConfig
 	cycles [][]pmpoolCycle
 
-	k    *sim.Kernel
+	// crashDriver holds the kernel and the crash/recovery state.
+	crashDriver
+
 	srv  *pmpool.Server
 	pool *pmpool.Pool
 	logs []*redolog.Log
 
-	serverUp     bool
-	generation   int
-	reestGen     int
-	reconnecting bool
-
 	ledger   map[uint64]*pmpoolLedger
 	progress []int
-	replayed int
 
 	recoverViolations []string
 }
@@ -157,15 +153,34 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 	pool := pmpool.NewPool(cliHost, []*pmpool.Server{srv}, rcfg, pcfg)
 
 	r := &pmpoolRun{
-		cfg:      cfg,
-		cycles:   genPMPoolCycles(cfg),
-		k:        k,
+		cfg:    cfg,
+		cycles: genPMPoolCycles(cfg),
+		crashDriver: crashDriver{
+			k:          k,
+			restart:    cfg.Restart,
+			retransfer: cfg.Retransfer,
+			fail:       srv.Crash,
+			restore:    srv.H.Restart,
+			serverUp:   true,
+		},
 		srv:      srv,
 		pool:     pool,
 		logs:     pool.Logs(),
-		serverUp: true,
 		ledger:   make(map[uint64]*pmpoolLedger),
 		progress: make([]int, cfg.Workers),
+	}
+	r.reestablish = func(p *sim.Proc) (int, error) {
+		// Hold the lease renewer off for the whole recovery span: a
+		// renewal appended while a log's recovery scan is in flight would
+		// be dropped from the rebuilt window.
+		pool.PauseRenew()
+		// Rebuild the server's volatile pool state from the durable
+		// metadata shadow first, then replay the unconsumed redo-log
+		// tail onto it.
+		srv.Recover(p)
+		replayed, err := pool.Reestablish(p, 0)
+		pool.ResumeRenew()
+		return replayed, err
 	}
 	for _, lg := range r.logs {
 		lg := lg
@@ -176,40 +191,9 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 		k.Go("pmpool-worker", func(p *sim.Proc) { r.worker(p, w) })
 	}
 	if withMonitor {
-		k.Go("pmpool-monitor", func(p *sim.Proc) {
-			for {
-				p.Sleep(20 * time.Microsecond)
-				if r.serverUp && r.reestGen != r.generation {
-					r.reconnecting = true
-					// Hold the lease renewer off for the whole recovery
-					// span: a renewal appended while a log's recovery scan
-					// is in flight would be dropped from the rebuilt
-					// window.
-					r.pool.PauseRenew()
-					// Rebuild the server's volatile pool state from the
-					// durable metadata shadow first, then replay the
-					// unconsumed redo-log tail onto it.
-					r.srv.Recover(p)
-					replayed, err := r.pool.Reestablish(p, 0)
-					r.pool.ResumeRenew()
-					if err != nil {
-						panic(err) // serial harness: reestablish cannot refuse
-					}
-					r.replayed += replayed
-					r.reestGen = r.generation
-					r.reconnecting = false
-				}
-			}
-		})
+		r.startMonitor("pmpool-monitor")
 	}
 	return r
-}
-
-// waitReady parks a worker while the server is down or reconnecting.
-func (r *pmpoolRun) waitReady(p *sim.Proc) {
-	for !r.serverUp || r.reconnecting || r.reestGen != r.generation {
-		p.Sleep(r.cfg.Retransfer / 4)
-	}
 }
 
 // worker drives its cycles to completion, retrying every call across
@@ -264,20 +248,6 @@ func (r *pmpoolRun) doneAll() bool {
 		}
 	}
 	return true
-}
-
-// crash fails the pool node and schedules its restart.
-func (r *pmpoolRun) crash() {
-	if !r.serverUp {
-		return
-	}
-	r.serverUp = false
-	r.srv.Crash()
-	r.k.AfterFunc(r.cfg.Restart, func() {
-		r.srv.H.Restart()
-		r.serverUp = true
-		r.generation++
-	})
 }
 
 // checkRecover asserts the redo-log recovery invariants on one connection:
@@ -451,26 +421,10 @@ func PMPoolSweep(cfg PMPoolConfig) Result {
 // of both abandoned and crash-resurrected orphans.
 func runPMPoolPoint(cfg PMPoolConfig, pt Point, refSpan time.Duration) (*pmpoolRun, sim.Time) {
 	r := newPMPoolRun(cfg, true)
-	r.k.RunEvents(pt.Event)
-	if pt.TornFrac > 0 {
-		if ws := r.srv.H.PM.InflightTornWindows(r.k.Now()); len(ws) > 0 {
-			w := ws[int(pt.Event)%len(ws)]
-			start := w.Start
-			if now := r.k.Now(); start < now {
-				start = now
-			}
-			t := start.Add(time.Duration(pt.TornFrac * float64(w.End.Sub(start))))
-			if t > r.k.Now() {
-				r.k.RunUntil(t)
-			}
-		}
-	}
-	at := r.k.Now()
-	r.crash()
-	if pt.SecondCrash {
-		delta := time.Duration(pt.Event%40) * time.Microsecond
-		r.k.AfterFunc(cfg.Restart+delta, r.crash)
-	}
+	at := r.crashAt(pt, r.srv.H.PM)
+	// Once the last crash is recovered the monitor exits; the lease
+	// renewer and reclaimer poll forever, so the settle phase is bounded
+	// by time.
 	horizon := at.Add(3*cfg.Restart + 2*refSpan +
 		100*time.Duration(cfg.Ops)*cfg.Retransfer/10 + 4*cfg.LeaseTTL)
 	r.k.RunUntil(horizon)
