@@ -114,50 +114,16 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 	return bad
 }
 
-// clusterCrashcheckMain is the `-crashcheck -cluster` entry point: a
-// crash-point sweep over the cluster failover/resync path. One replica
-// crashes at every sampled event boundary (periodically a second replica of
-// the same shard fails during the first resync); no acknowledged write may
-// be lost and live replicas must converge byte-identically. Exits non-zero
-// on any violation.
-func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize int) {
-	start := time.Now()
-	cfg := crashcheck.DefaultClusterConfig(seed)
-	if points > 0 {
-		cfg.Points = points
-	}
-	cfg.Shards = shards
-	cfg.Replicas = replicas
-	if objSize > 0 {
-		cfg.ObjSize = objSize
-	}
-	res := crashcheck.ClusterSweep(cfg)
-	fmt.Printf("cluster %dx%d seed=%-4d points=%-4d events=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d violations=%d\n",
-		cfg.Shards, cfg.Replicas, res.Seed, res.Points, res.Events,
-		res.Failovers, res.Resyncs, res.Replayed, res.Shipped, res.ViolationCount)
-	for _, v := range res.Violations {
-		fmt.Printf("  VIOLATION %v\n", v)
-	}
-	if res.ViolationCount > len(res.Violations) {
-		fmt.Printf("  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
-	}
-	if min := res.Minimal(); min != nil {
-		fmt.Printf("  minimal repro: -crashcheck -cluster -seed %d -points %d -shards %d -replicas %d  crash at {%v} (t=%v)\n",
-			min.Seed, cfg.Points, cfg.Shards, cfg.Replicas, min.Point, min.At)
-	}
-	fmt.Fprintf(os.Stderr, "[cluster crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
-	if res.ViolationCount > 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: cluster sweep violated failover invariants\n")
-		os.Exit(1)
-	}
-}
-
-// partitionedCrashcheckMain is the `-crashcheck -cluster -simpar N` entry
-// point: the window-quiesce crash sweep over the partitioned (multi-kernel)
-// deployment. Crash points are lookahead-window indices, which are
-// worker-count-stable, so the minimal repro it prints replays at any
-// -simpar — including 1.
-func partitionedCrashcheckMain(seed int64, points, shards, replicas, objSize, workers int, mutant string) {
+// clusterCrashcheckMain is the `-crashcheck -cluster` entry point: the
+// window-quiesce crash sweep over the cluster failover/resync path on
+// `workers` engine workers (0 = 1). One replica crashes at every sampled
+// lookahead-window barrier (periodically a second replica of the same shard
+// fails during the first resync); no acknowledged write may be lost and
+// live replicas must converge byte-identically. Window indices are
+// worker-count-stable, so the output — and the minimal repro it prints — is
+// the same at any -simpar. mutant seeds a known bug class the sweep must
+// catch. Exits non-zero on any violation.
+func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize, workers int, mutant string) {
 	start := time.Now()
 	cfg := crashcheck.DefaultPartitionedConfig(seed)
 	if points > 0 {
@@ -172,13 +138,11 @@ func partitionedCrashcheckMain(seed int64, points, shards, replicas, objSize, wo
 	if objSize > 0 {
 		cfg.ObjSize = objSize
 	}
-	if workers > 0 {
-		cfg.Workers = workers
-	}
+	cfg.Workers = max(workers, 1)
 	cfg.Mutant = mutant
 	res := crashcheck.PartitionedSweep(cfg)
-	fmt.Printf("partitioned %dx%d seed=%-4d workers=%d points=%-4d windows=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",
-		cfg.Shards, cfg.Replicas, res.Seed, res.Workers, res.Points, res.Windows,
+	fmt.Printf("cluster %dx%d seed=%-4d points=%-4d windows=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",
+		cfg.Shards, cfg.Replicas, res.Seed, res.Points, res.Windows,
 		res.Failovers, res.Resyncs, res.Replayed, res.Shipped, res.PMFull, res.ViolationCount)
 	for _, v := range res.Violations {
 		fmt.Printf("  VIOLATION %v\n", v)
@@ -187,12 +151,16 @@ func partitionedCrashcheckMain(seed int64, points, shards, replicas, objSize, wo
 		fmt.Printf("  ... %d further violations truncated\n", res.ViolationCount-len(res.Violations))
 	}
 	if min := res.Minimal(); min != nil {
-		fmt.Printf("  minimal repro: -crashcheck -cluster -simpar 1 -seed %d -points %d -shards %d -replicas %d  crash at window %d (t=%v)\n",
-			min.Seed, cfg.Points, cfg.Shards, cfg.Replicas, min.Point.Event, min.At)
+		cmd := fmt.Sprintf("-crashcheck -cluster -seed %d -points %d -shards %d -replicas %d",
+			min.Seed, cfg.Points, cfg.Shards, cfg.Replicas)
+		if mutant != "" {
+			cmd += " -mutant " + mutant
+		}
+		fmt.Printf("  minimal repro: %s  crash at window %d (t=%v)\n", cmd, min.Point.Event, min.At)
 	}
-	fmt.Fprintf(os.Stderr, "[partitioned crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "[cluster crashcheck done in %v]\n", time.Since(start).Round(time.Millisecond))
 	if res.ViolationCount > 0 {
-		fmt.Fprintf(os.Stderr, "crashcheck: partitioned sweep violated failover invariants\n")
+		fmt.Fprintf(os.Stderr, "crashcheck: cluster sweep violated failover invariants\n")
 		os.Exit(1)
 	}
 }

@@ -15,10 +15,9 @@
 //	prdmabench -crashcheck -family WFlush -points 50 -torn 10   # short smoke sweep
 //	prdmabench -crashcheck -ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
 //	prdmabench -cluster            # sharded replicated KV: failover figure (4 shards x 3 replicas)
-//	prdmabench -cluster -shards 8 -replicas 5 -scale full       # bigger deployment
-//	prdmabench -crashcheck -cluster -points 20   # crash-point sweep over the cluster failover/resync path
-//	prdmabench -crashcheck -cluster -simpar 4 -points 12   # window-barrier sweep on the partitioned engine
-//	prdmabench -crashcheck -cluster -simpar 2 -mutant ackbug   # partitioned mutant-detection check (expect exit 1)
+//	prdmabench -cluster -shards 8 -replicas 5 -scale full -simpar 4   # bigger deployment, 4 engine workers
+//	prdmabench -crashcheck -cluster -points 20   # window-barrier crash sweep over the cluster failover/resync path
+//	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1)
 //	prdmabench -matrix             # adversarial fault x YCSB A-F matrix, crashcheck asserted per cell
 //	prdmabench -matrix -faults partition,gray -workloads AB -points 6   # reduced cell set
 //	prdmabench -matrix -mutant ackbug   # mutant-detection check: expect exit 1
@@ -28,12 +27,13 @@
 //	prdmabench -crashcheck -pmpool -points 60 -torn 12   # pool crash-point sweep (alloc/free/write invariants)
 //	prdmabench -crashcheck -pmpool -mutant leak   # seeded leak bug: the sweep must catch it (exit 1)
 //
-// -simpar selects the worker count for partitioned (multi-kernel) drivers.
-// With -crashcheck -cluster, -simpar N (N>0) switches the sweep to the
-// partitioned deployment: crashes land at lookahead-window barriers, whose
-// indices are worker-count-stable, so the minimal repro replays at -simpar 1.
-// The legacy single-host figure drivers still run the serial kernel and
-// accept -simpar as a no-op so harnesses can pass it uniformly.
+// -simpar selects the engine worker count of the cluster drivers (-cluster,
+// -matrix, -crashcheck -cluster; 0 means 1) and the -parscale smoke (0 means
+// 4). Their output is byte-identical at any setting: the cluster crash sweep lands
+// its crashes at lookahead-window barriers, whose indices are
+// worker-count-stable, so a minimal repro replays at -simpar 1. The
+// single-host figure drivers run one serial kernel and accept -simpar as a
+// no-op so harnesses can pass it uniformly.
 //
 // Experiment cells are independent deployments, so drivers fan them across
 // a worker pool (-parallel). Output is byte-identical at any setting; only
@@ -95,13 +95,13 @@ func main() {
 	clusterRun := flag.Bool("cluster", false, "run the sharded replicated-KV failover figure (or, with -crashcheck, the cluster crash-point sweep)")
 	shards := flag.Int("shards", 4, "cluster: number of shard groups")
 	replicas := flag.Int("replicas", 3, "cluster: replication factor per shard")
-	simpar := flag.Int("simpar", 0, "parallel simulation workers for partitioned drivers (0 = serial legacy kernel; with -crashcheck -cluster, N>0 runs the window-barrier partitioned crash sweep)")
+	simpar := flag.Int("simpar", 0, "engine workers for the cluster drivers (-cluster, -matrix, -crashcheck -cluster; 0 = 1) and the -parscale smoke (0 = 4); output is identical at any count")
 	parscale := flag.Bool("parscale", false, "run the parallel-kernel scaling ladder (workers 1/2/4/8 over the 8-shard partitioned cluster) plus the open-loop population smoke; write BENCH_PR7-style JSON with -json")
 	logclients := flag.Int("logclients", 1_000_000, "parscale: logical client population for the open-loop smoke")
 	matrixRun := flag.Bool("matrix", false, "run the adversarial fault x YCSB workload matrix (cluster crash-point sweep per cell)")
 	faults := flag.String("faults", "", "matrix: comma-separated adversary names (default: every builtin; see -matrix -faults help)")
 	workloads := flag.String("workloads", "", "matrix: YCSB workload letters, e.g. ABF (default: A-F)")
-	mutant := flag.String("mutant", "", "matrix / partitioned / pmpool crashcheck: seed a known bug class (ackbug|resurrect|leak); the sweep must then fail (exit 1)")
+	mutant := flag.String("mutant", "", "matrix / cluster crashcheck / pmpool crashcheck: seed a known bug class (ackbug|resurrect|leak); the sweep must then fail (exit 1)")
 	pmpoolRun := flag.Bool("pmpool", false, "run the remote PM pool figures (or, with -crashcheck, the pool crash-point sweep)")
 	flag.Parse()
 	flagSet := map[string]bool{}
@@ -132,6 +132,7 @@ func main() {
 			workloads: *workloads,
 			mutant:    *mutant,
 			parallel:  *parallel,
+			simpar:    *simpar,
 			jsonOut:   *jsonOut,
 		}
 		if pointsSet {
@@ -174,11 +175,7 @@ func main() {
 		if pointsSet {
 			pts = *points
 		}
-		if *simpar > 0 {
-			partitionedCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *simpar, *mutant)
-		} else {
-			clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize)
-		}
+		clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *simpar, *mutant)
 		if *memprofile != "" {
 			if err := writeHeapProfile(*memprofile); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -292,7 +289,7 @@ func main() {
 		ran = true
 	}
 	if *clusterRun {
-		run("cluster", func() []bench.Table { return o.ClusterFigures(*shards, *replicas) })
+		run("cluster", func() []bench.Table { return o.ClusterFigures(*shards, *replicas, *simpar) })
 		ran = true
 	}
 	if *fig != 0 {

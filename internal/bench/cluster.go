@@ -10,35 +10,33 @@ import (
 )
 
 // ClusterFigures drives the sharded, replicated durable-KV cluster
-// (internal/cluster) under zipfian load, crashes shard 0's primary once a
-// fifth of the traffic has completed, and reports the client-visible
-// impact — latency and throughput before, during, and after failover —
-// alongside the per-shard balance and the failover controller's internal
-// work. Zero acknowledged-write loss is asserted byte-for-byte against
-// every live replica after the run.
-func (o Options) ClusterFigures(shards, replicas int) []Table {
-	f := o.clusterFigRun(shards, replicas)
+// (internal/cluster) under zipfian load on workers engine workers (0 means
+// 1), crashes shard 0's primary once a fifth of the traffic has completed,
+// and reports the client-visible impact — latency and throughput before,
+// during, and after failover — alongside the per-shard balance and the
+// failover controller's internal work. Zero acknowledged-write loss is
+// asserted byte-for-byte against every live replica after the run. The
+// tables are identical at any worker count.
+func (o Options) ClusterFigures(shards, replicas, workers int) []Table {
+	f := o.clusterFigRun(shards, replicas, workers)
 	return []Table{f.phaseTable(), f.shardTable(), f.controlTable()}
 }
 
 // clusterFig is one completed cluster run plus its phase boundaries.
 type clusterFig struct {
 	p            kv.Params
-	c            *kv.Cluster
-	ct           *kv.Controller
-	res          *kv.LoadResult
+	c            *kv.PCluster
+	run          *kv.FailoverRun
+	res          *kv.PLoadResult
 	ops, clients int
-	victim       int
-	crashAt      sim.Time
 	resyncDoneAt sim.Time
-	healthy      bool
 	consistency  error
 }
 
-func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
-	k := sim.New()
+func (o Options) clusterFigRun(shards, replicas, workers int) *clusterFig {
 	p := kv.DefaultParams()
 	p.Shards, p.Replicas = shards, replicas
+	p.Gateways = 1
 	p.PoolSize = 8
 	p.Objects = o.Objects
 	p.Seed = o.Seed
@@ -55,53 +53,28 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 	if f.clients > 20000 {
 		f.clients = 20000
 	}
-	c, err := kv.New(k, p)
+	c, err := kv.NewPartitioned(max(workers, 1), p)
 	if err != nil {
 		panic(err)
 	}
 	f.c = c
-	f.ct = c.StartController()
-
-	// Crash script: once 20% of operations have completed, kill shard 0's
-	// primary. Triggering on the op count (not wall time) keeps the crash
-	// placement meaningful at every scale, and is just as deterministic.
-	k.Go("crash-script", func(sp *sim.Proc) {
-		target := int64(f.ops / 5)
-		for {
-			var total int64
-			for _, sh := range c.Shards {
-				total += sh.Puts + sh.Gets
-			}
-			if total >= target {
-				break
-			}
-			sp.Sleep(20 * time.Microsecond)
-		}
-		f.victim = c.Shards[0].Primary
-		f.crashAt = sp.Now()
-		c.CrashReplica(0, f.victim)
-	})
-
-	k.Go("cluster-bench", func(mp *sim.Proc) {
-		res, err := c.RunLoad(mp, kv.Load{
-			Clients:  f.clients,
-			Ops:      f.ops,
-			ReadFrac: 0.5,
-			Verify:   true,
-			Seed:     o.Seed,
-		})
-		if err != nil {
-			panic(err)
-		}
-		f.res = res
-		f.healthy = c.AwaitHealthy(mp, 200*time.Millisecond)
-		mp.Sleep(2 * time.Millisecond) // engines apply their tails
-		f.ct.Stop()
-	})
-	k.Run()
-	f.resyncDoneAt = f.ct.LastEvent("resync-done")
+	// Crash once 20% of operations have completed. Triggering on the op
+	// count (not wall time) keeps the crash placement meaningful at every
+	// scale, and is just as deterministic.
+	f.run, err = c.RunFailover(kv.Load{
+		Clients:  f.clients,
+		Ops:      f.ops,
+		ReadFrac: 0.5,
+		Verify:   true,
+		Seed:     o.Seed,
+	}, int64(f.ops/5))
+	if err != nil {
+		panic(err)
+	}
+	f.res = f.run.Load
+	f.resyncDoneAt = f.run.Ctl.LastEvent("resync-done")
 	f.consistency = c.CheckConsistency()
-	k.Shutdown() // tables below read counters and samples only; reap the parked procs
+	c.Eng.Shutdown() // tables below read counters and samples only; reap the parked procs
 	AddSimOps(int64(f.ops))
 	return f
 }
@@ -109,11 +82,11 @@ func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 func (f *clusterFig) phaseTable() Table {
 	t := Table{
 		Title: fmt.Sprintf("Cluster failover: %d shards x %d replicas, %d clients zipfian(0.99), crash primary s0r%d at 20%% of %d ops",
-			f.p.Shards, f.p.Replicas, f.clients, f.victim, f.ops),
+			f.p.Shards, f.p.Replicas, f.clients, f.run.Victim, f.ops),
 		Header: []string{"phase", "ops", "p50 (us)", "p99 (us)", "KOPS"},
 		Notes:  "failover = crash..resync-done: shard-0 ops ride retry loops until the survivors serve the quorum, the other shards are untouched; post returns to baseline with the victim readmitted",
 	}
-	// Every sample falls in exactly one phase: [Start, crash), [crash,
+	// Every sample falls in exactly one phase: [0, crash), [crash,
 	// resync-done), [resync-done, End]. When the load drains before the
 	// victim is readmitted, the post phase is empty and the failover phase
 	// runs to the end of the load.
@@ -126,8 +99,8 @@ func (f *clusterFig) phaseTable() Table {
 		name     string
 		from, to sim.Time
 	}{
-		{"pre-failover", f.res.Start, f.crashAt},
-		{"failover", f.crashAt, resyncEnd},
+		{"pre-failover", 0, f.run.CrashAt},
+		{"failover", f.run.CrashAt, resyncEnd},
 		{"post-failover", resyncEnd, end},
 	}
 	lats := make([]*stats.Latency, len(phases))
@@ -136,7 +109,7 @@ func (f *clusterFig) phaseTable() Table {
 	}
 	for _, s := range f.res.Samples {
 		switch {
-		case s.At < f.crashAt:
+		case s.At < f.run.CrashAt:
 			lats[0].Add(s.Dur)
 		case s.At < resyncEnd:
 			lats[1].Add(s.Dur)
@@ -163,7 +136,7 @@ func (f *clusterFig) phaseTable() Table {
 		fmt.Sprintf("%d", total.Count()),
 		fmtUS(total.Percentile(50)),
 		fmtUS(total.Percentile(99)),
-		fmt.Sprintf("%.1f", stats.Throughput{Ops: total.Count(), Elapsed: f.res.End.Sub(f.res.Start)}.KOPS()),
+		fmt.Sprintf("%.1f", stats.Throughput{Ops: total.Count(), Elapsed: f.res.End.Duration()}.KOPS()),
 	})
 	return t
 }
@@ -174,11 +147,18 @@ func (f *clusterFig) shardTable() Table {
 		Header: []string{"shard", "puts", "gets", "retries", "p50 (us)", "p99 (us)"},
 		Notes:  "the consistent-hash ring spreads the zipfian keyspace; only the crashed shard accumulates retries",
 	}
-	for i, sh := range f.c.Shards {
-		lat := stats.NewLatency(len(f.res.Samples) / len(f.c.Shards))
+	for i, grp := range f.c.Groups {
+		lat := stats.NewLatency(len(f.res.Samples) / len(f.c.Groups))
+		var puts, gets int
 		for _, s := range f.res.Samples {
-			if s.Shard == i {
-				lat.Add(s.Dur)
+			if s.Shard != i {
+				continue
+			}
+			lat.Add(s.Dur)
+			if s.Write {
+				puts++
+			} else {
+				gets++
 			}
 		}
 		p50, p99 := "-", "-"
@@ -187,9 +167,9 @@ func (f *clusterFig) shardTable() Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", i),
-			fmt.Sprintf("%d", sh.Puts),
-			fmt.Sprintf("%d", sh.Gets),
-			fmt.Sprintf("%d", sh.Retries),
+			fmt.Sprintf("%d", puts),
+			fmt.Sprintf("%d", gets),
+			fmt.Sprintf("%d", grp.Retries),
 			p50, p99,
 		})
 	}
@@ -199,14 +179,14 @@ func (f *clusterFig) shardTable() Table {
 func (f *clusterFig) controlTable() Table {
 	var failovers, promotions, resyncs, replayed, shipped int64
 	var detect, resyncWall time.Duration
-	for _, sh := range f.c.Shards {
-		failovers += sh.Failovers
-		promotions += sh.Promotions
-		resyncs += sh.Resyncs
-		replayed += sh.Replayed
-		shipped += sh.Shipped
-		detect += sh.DetectLag
-		resyncWall += sh.ResyncTime
+	for _, grp := range f.c.Groups {
+		failovers += grp.Failovers
+		promotions += grp.Promotions
+		resyncs += grp.Resyncs
+		replayed += grp.Replayed
+		shipped += grp.Shipped
+		detect += grp.DetectLag
+		resyncWall += grp.ResyncTime
 	}
 	meanDetect := time.Duration(0)
 	if failovers > 0 {
@@ -217,7 +197,7 @@ func (f *clusterFig) controlTable() Table {
 		lost = "LOST: " + f.consistency.Error()
 	}
 	health := "readmitted, full health"
-	if !f.healthy {
+	if !f.run.Healthy {
 		health = "NOT healthy at horizon"
 	}
 	t := Table{
@@ -226,7 +206,7 @@ func (f *clusterFig) controlTable() Table {
 		Notes:  "detect lag is crash→MarkDown; resync ships the deduplicated acked-write log, then readmits behind the pool barrier so no in-flight write is missed",
 	}
 	t.Rows = [][]string{
-		{"crash at (us into run)", fmtUS(f.crashAt.Sub(f.res.Start))},
+		{"crash at (us into run)", fmtUS(f.run.CrashAt.Duration())},
 		{"failovers detected", fmt.Sprintf("%d", failovers)},
 		{"mean detect lag (us)", fmtUS(meanDetect)},
 		{"promotions", fmt.Sprintf("%d", promotions)},

@@ -9,7 +9,7 @@ import (
 // three phases must collect samples, no acknowledged write may be lost, and
 // the victim must be readmitted.
 func TestClusterFigures(t *testing.T) {
-	f := Quick().clusterFigRun(4, 3)
+	f := Quick().clusterFigRun(4, 3, 2)
 	tabs := []Table{f.phaseTable(), f.shardTable(), f.controlTable()}
 	if len(tabs) != 3 {
 		t.Fatalf("want 3 tables, got %d", len(tabs))
@@ -20,10 +20,10 @@ func TestClusterFigures(t *testing.T) {
 	if f.res.Errors != 0 || f.res.BadReads != 0 {
 		t.Fatalf("errors=%d badReads=%d", f.res.Errors, f.res.BadReads)
 	}
-	if !f.healthy {
+	if !f.run.Healthy {
 		t.Fatal("victim never readmitted")
 	}
-	if f.crashAt == 0 {
+	if f.run.CrashAt == 0 {
 		t.Fatal("crash script never fired")
 	}
 	for _, row := range tabs[0].Rows {
@@ -38,22 +38,24 @@ func TestClusterFigures(t *testing.T) {
 	}
 }
 
-// TestClusterFiguresDeterministic renders the full figure set twice at a
-// fixed seed and requires byte-identical output — the acceptance bar for
-// the -cluster driver.
+// TestClusterFiguresDeterministic renders the full figure set at a fixed
+// seed twice at one worker and once at four, and requires byte-identical
+// output — the acceptance bar for the -cluster driver.
 func TestClusterFiguresDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cluster runs are seconds-long")
 	}
-	render := func() string {
+	render := func(workers int) string {
 		var b strings.Builder
-		for _, tab := range Quick().ClusterFigures(4, 3) {
+		for _, tab := range Quick().ClusterFigures(4, 3, workers) {
 			tab.Fprint(&b)
 		}
 		return b.String()
 	}
-	a, bb := render(), render()
-	if a != bb {
-		t.Fatalf("cluster figure output not byte-identical across runs:\n--- a ---\n%s\n--- b ---\n%s", a, bb)
+	a := render(1)
+	for _, workers := range []int{1, 4} {
+		if bb := render(workers); a != bb {
+			t.Fatalf("cluster figure output at workers=%d differs from workers=1:\n--- a ---\n%s\n--- b ---\n%s", workers, a, bb)
+		}
 	}
 }

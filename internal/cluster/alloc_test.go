@@ -6,60 +6,62 @@ import (
 	"prdma/internal/sim"
 )
 
-// putBench builds a minimal cluster without *testing.T so benchmarks and
-// AllocsPerRun tests share it.
+// putBench builds a minimal single-gateway cluster without *testing.T so
+// benchmarks and AllocsPerRun tests share it.
 type putBench struct {
-	k *sim.Kernel
-	c *Cluster
+	c *PCluster
 }
 
 func newPutBench() (*putBench, error) {
-	k := sim.New()
 	p := DefaultParams()
 	p.Shards = 2
 	p.Replicas = 3
 	p.PoolSize = 2
+	p.Gateways = 1
 	p.Objects = 128
 	p.ObjSize = 256
-	c, err := New(k, p)
+	c, err := NewPartitioned(1, p)
 	if err != nil {
 		return nil, err
 	}
-	return &putBench{k: k, c: c}, nil
+	return &putBench{c: c}, nil
 }
 
-// puts drives n replicated puts over a small key set and returns the first
-// error.
+// puts drives n replicated puts over a small key set from a gateway proc
+// and returns the first error.
 func (b *putBench) puts(n int, payload []byte) error {
 	var firstErr error
-	b.k.Go("driver", func(p *sim.Proc) {
+	b.c.Gateways[0].K.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			if err := b.c.Put(p, uint64(i%64), 0, payload); err != nil && firstErr == nil {
+			if err := b.c.PutOn(p, 0, uint64(i%64), 0, payload); err != nil && firstErr == nil {
 				firstErr = err
 				return
 			}
 		}
 	})
-	b.k.Run()
+	b.c.Eng.Run()
 	return firstErr
 }
 
 // TestReplicatedPutAllocRegression pins the steady-state allocation cost of
-// one replicated put: R=3 durable fan-out (pooled wire/entry images from
-// the PR 4 data plane) + routing + the acknowledged-write record (per-key
-// buffers reused after first touch). The remaining allocations are the
-// per-op futures/Pending envelopes and replicate's completion closures.
+// one replicated put through PutOn on a single-gateway deployment: R=3
+// durable fan-out in engine mode (each request and response crosses a
+// partition, cloned into pooled transfer envelopes), routing, the
+// controller-mode retry wrapper, and the acknowledged-write record
+// (per-key buffers reused after first touch). The remaining allocations are
+// the per-op futures/Pending envelopes, replicate's completion closures and
+// the cross-partition payload data copies.
 //
-// Measured on the reference toolchain: ≈ 103 allocs/op at R=3 (roughly 3×
-// the ~35 of a single durable echo plus the replication bookkeeping). The
-// ceiling of 190 leaves toolchain headroom while still catching an
-// accidental per-op buffer copy or map churn on the routing path.
+// Measured on linux/amd64 with Go 1.24: 79.4 allocs/op at R=3. The ceiling
+// of 150 leaves toolchain headroom while still catching an accidental
+// per-op buffer copy or map churn on the routing path.
 func TestReplicatedPutAllocRegression(t *testing.T) {
-	const ceiling = 190.0
+	const ceiling = 150.0
 	b, err := newPutBench()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.c.Eng.Shutdown()
 	payload := make([]byte, 256)
 	if err := b.puts(200, payload); err != nil {
 		t.Fatal(err) // warm pools, the event heap, and the write records
@@ -83,6 +85,7 @@ func BenchmarkReplicatedPut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer pb.c.Eng.Shutdown()
 	payload := make([]byte, 256)
 	b.ReportAllocs()
 	b.ResetTimer()

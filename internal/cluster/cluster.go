@@ -1,11 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"sort"
 	"time"
 
 	"prdma/internal/fabric"
@@ -25,9 +20,8 @@ type Params struct {
 	// PoolSize is the number of replicated connections pooled per shard —
 	// the per-shard concurrency limit on the client side.
 	PoolSize int
-	// Gateways is the number of client-side gateway partitions in a
-	// partitioned deployment (NewPartitioned); the serial New ignores it
-	// and always builds one gateway host.
+	// Gateways is the number of client-side gateway partitions. The
+	// failover controller needs exactly one (see StartController).
 	Gateways int
 	// VNodes is the virtual nodes per shard on the consistent-hash ring.
 	VNodes int
@@ -101,7 +95,7 @@ type Replica struct {
 // failure detector polls).
 func (r *Replica) Alive() bool { return r.alive }
 
-// wroteRec is the shard's record of one acknowledged write: the latest
+// wroteRec is one acknowledged write in a gateway's record: the latest
 // payload image and completion time per key — a fully deduplicated redo
 // log the controller ships to a rejoining replica.
 type wroteRec struct {
@@ -110,168 +104,9 @@ type wroteRec struct {
 	at  sim.Time
 }
 
-// Shard is one replication group plus its client-side connection pool.
-type Shard struct {
-	ID       int
-	Replicas []*Replica
-	Primary  int
-
-	// clients are the pooled replicated connections (PoolSize of them);
-	// ctl is the controller's dedicated connection, never pooled. Each
-	// holds its own per-replica durable connections and redo logs.
-	clients []*replicate.Client
-	ctl     *replicate.Client
-	pool    *sim.Chan[*replicate.Client]
-
-	// wrote is the acknowledged-write record (see wroteRec); keys holds
-	// its sorted key set scratch for deterministic iteration.
-	wrote map[uint64]*wroteRec
-	keys  []uint64
-
-	// ackAudit, when non-nil (EnableAckAudit), tracks per replica the
-	// highest payload version that replica has durably acknowledged per
-	// store slot. A durable ACK claims remote persistence (§4.2), so a
-	// crashed replica's redo-log replay must restore at least this version
-	// — the invariant the crash-point auditor checks before any repair
-	// images are shipped.
-	ackAudit []map[uint64]uint32
-
-	// pendingSince is per-replica: the earliest moment an unresynced down
-	// window began (zero when fully synced). Resync ships every key whose
-	// acknowledged write completed at or after pendingSince-Grace.
-	pendingSince []sim.Time
-	resyncing    []bool
-	resyncBusy   bool
-	// quiesce diverts new operations away from the pool while the resync
-	// readmission barrier collects every pooled client (see Shard.acquire).
-	quiesce bool
-
-	// Counters for the figure driver and tests.
-	Puts, Gets, Retries int64
-	Failovers, Promotions, Resyncs,
-	Shipped, Replayed int64
-	DetectLag, ResyncTime time.Duration
-}
-
-// Cluster is the full deployment: gateway host, shard groups, ring.
-type Cluster struct {
-	K       *sim.Kernel
-	Net     *fabric.Network
-	P       Params
-	Ring    *Ring
-	Gateway *host.Host
-	Shards  []*Shard
-}
-
-// New builds the cluster testbed: one gateway (client) host and
-// Shards×Replicas storage nodes, each replica with its own store, engine,
-// and PoolSize+1 durable connections from the gateway.
-func New(k *sim.Kernel, p Params) (*Cluster, error) {
-	if p.Shards <= 0 || p.Replicas <= 0 || p.PoolSize <= 0 {
-		return nil, errors.New("cluster: Shards, Replicas, PoolSize must be positive")
-	}
-	c := &Cluster{K: k, P: p}
-	c.Net = fabric.New(k, p.Net, p.Seed^0x5eed)
-	c.Ring = NewRing(p.Shards, p.VNodes, p.Seed)
-	c.Gateway = host.New(k, "gateway", c.Net, p.HostP, p.PM, p.NIC)
-	for s := 0; s < p.Shards; s++ {
-		sh := &Shard{
-			ID:           s,
-			wrote:        make(map[uint64]*wroteRec),
-			pendingSince: make([]sim.Time, p.Replicas),
-			resyncing:    make([]bool, p.Replicas),
-		}
-		for r := 0; r < p.Replicas; r++ {
-			h := host.New(k, fmt.Sprintf("s%dr%d", s, r), c.Net, p.HostP, p.PM, p.NIC)
-			store, err := rpc.NewStore(h, p.Objects, p.ObjSize)
-			if err != nil {
-				return nil, err
-			}
-			if !p.MutantResurrect {
-				// Verified payloads carry their version at byte 8 (see
-				// loadgen fill); the store guard keeps a stale duplicate or
-				// late retransmit from regressing a newer acked write.
-				store.VersionAt = 8
-			}
-			engine := rpc.NewServer(h, store, p.Cfg)
-			sh.Replicas = append(sh.Replicas, &Replica{Host: h, Store: store, Engine: engine, alive: true})
-		}
-		sh.pool = sim.NewChan[*replicate.Client](k)
-		for i := 0; i <= p.PoolSize; i++ { // pool clients + one controller client
-			var raw []rpc.Client
-			for _, rep := range sh.Replicas {
-				raw = append(raw, rpc.New(p.Kind, c.Gateway, rep.Engine, p.Cfg))
-			}
-			rc, err := replicate.New(k, p.Policy, raw)
-			if err != nil {
-				return nil, err
-			}
-			if i == p.PoolSize {
-				sh.ctl = rc
-			} else {
-				sh.clients = append(sh.clients, rc)
-				sh.pool.Push(rc)
-			}
-		}
-		c.Shards = append(c.Shards, sh)
-	}
-	return c, nil
-}
-
-// ShardOf routes a key through the ring.
-func (c *Cluster) ShardOf(key uint64) *Shard { return c.Shards[c.Ring.Shard(key)] }
-
-// record notes an acknowledged write in the shard's deduplicated log. The
-// per-key buffer is reused, so the steady state allocates nothing.
-func (sh *Shard) record(key uint64, ver uint32, payload []byte, at sim.Time) {
-	rec := sh.wrote[key]
-	if rec == nil {
-		rec = &wroteRec{buf: make([]byte, 0, len(payload))}
-		sh.wrote[key] = rec
-	}
-	rec.buf = append(rec.buf[:0], payload...)
-	rec.ver = ver
-	rec.at = at
-}
-
-// acquire checks out a pooled client, yielding to the readmission barrier
-// first: while the resync controller is quiescing the shard, new operations
-// wait here instead of queueing on the pool, so the barrier collects the
-// whole pool in bounded time no matter how many clients are hammering it.
-func (sh *Shard) acquire(p *sim.Proc) *replicate.Client {
-	for sh.quiesce {
-		p.Sleep(20 * time.Microsecond)
-	}
-	return sh.pool.Pop(p)
-}
-
-// Put routes one durable replicated write. It retries across failover
-// windows (full-object writes are idempotent), so a successful return
-// means the write is acknowledged under the shard's policy: it must
-// survive any single-replica crash. ver tags the payload version for the
-// consistency checkers; pass 0 when unused.
-func (c *Cluster) Put(p *sim.Proc, key uint64, ver uint32, payload []byte) error {
-	sh := c.ShardOf(key)
-	req := rpc.Request{Op: rpc.OpWrite, Key: keyIndex(key, c.P.Objects), Size: len(payload), Payload: payload}
-	for attempt := 0; ; attempt++ {
-		cl := sh.acquire(p)
-		at, _, err := cl.WriteTimeout(p, &req, c.P.Retry*8)
-		sh.pool.Push(cl)
-		if err == nil {
-			sh.Puts++
-			sh.record(key, ver, payload, at)
-			return nil
-		}
-		if attempt >= putAttempts(c.P) {
-			return fmt.Errorf("cluster: put key %d failed after %d attempts: %w", key, attempt+1, err)
-		}
-		sh.Retries++
-		p.Sleep(c.P.Retry)
-	}
-}
-
-// putAttempts bounds Put's retry loop: enough to ride out a full crash +
-// restart + resync window at the configured retry cadence, with margin.
+// putAttempts bounds the controller-mode retry loop of PutOn and GetOn:
+// enough to ride out a full crash + restart + resync window at the
+// configured retry cadence, with margin.
 func putAttempts(p Params) int {
 	window := p.Restart + p.Grace + 4*p.CheckEvery
 	n := int(window/p.Retry) * 4
@@ -281,26 +116,6 @@ func putAttempts(p Params) int {
 	return n
 }
 
-// Get routes one read to a live in-sync replica of the owning shard.
-func (c *Cluster) Get(p *sim.Proc, key uint64, size int) ([]byte, error) {
-	sh := c.ShardOf(key)
-	req := rpc.Request{Op: rpc.OpRead, Key: keyIndex(key, c.P.Objects), Size: size, Payload: empty}
-	for attempt := 0; ; attempt++ {
-		cl := sh.acquire(p)
-		resp, err := cl.ReadTimeout(p, &req, c.P.Retry*8)
-		sh.pool.Push(cl)
-		if err == nil {
-			sh.Gets++
-			return resp.Data, nil
-		}
-		if attempt >= putAttempts(c.P) {
-			return nil, fmt.Errorf("cluster: get key %d failed after %d attempts: %w", key, attempt+1, err)
-		}
-		sh.Retries++
-		p.Sleep(c.P.Retry)
-	}
-}
-
 var empty = []byte{}
 
 // keyIndex maps a cluster key to a slot in a replica's store. The identity
@@ -308,183 +123,3 @@ var empty = []byte{}
 // workloads rely on that); larger keyspaces alias slots, which the
 // consistency checker handles by comparing only each slot's last write.
 func keyIndex(key uint64, objects int) uint64 { return key % uint64(objects) }
-
-// CrashReplica fails replica r of shard s: the host loses volatile state
-// (PM survives), the engine drops its queue, and a restart timer brings
-// the node back after P.Restart. The failover controller notices via its
-// detector poll.
-func (c *Cluster) CrashReplica(s, r int) {
-	sh := c.Shards[s]
-	rep := sh.Replicas[r]
-	if !rep.alive {
-		return
-	}
-	rep.alive = false
-	rep.crashedAt = c.K.Now()
-	rep.Host.Crash()
-	rep.Engine.Crash()
-	rep.Store.Crash()
-	c.K.AfterFunc(c.P.Restart, func() {
-		rep.Host.Restart()
-		rep.alive = true
-		rep.Restarts++
-	})
-}
-
-// Retransmits totals RC retransmissions across every NIC in the cluster —
-// the "resends" column of the adversarial-matrix figure.
-func (c *Cluster) Retransmits() int64 {
-	total := c.Gateway.NIC.Retransmits
-	for _, sh := range c.Shards {
-		for _, rep := range sh.Replicas {
-			total += rep.Host.NIC.Retransmits
-		}
-	}
-	return total
-}
-
-// StaleDrops totals version-guarded writes the replica stores rejected as
-// stale (late duplicates or retransmits of overwritten versions).
-func (c *Cluster) StaleDrops() int64 {
-	var total int64
-	for _, sh := range c.Shards {
-		for _, rep := range sh.Replicas {
-			total += rep.Store.StaleDrops
-		}
-	}
-	return total
-}
-
-// PMFull totals the replicas' PM-exhaustion backpressure drops — writes the
-// stores could not home because their arena ran out. Surfaced as a stat so a
-// sizing mistake reads as backpressure in the figures, not a panic that
-// aborts the run.
-func (c *Cluster) PMFull() int64 {
-	var total int64
-	for _, sh := range c.Shards {
-		for _, rep := range sh.Replicas {
-			total += rep.Store.PMFull
-		}
-	}
-	return total
-}
-
-// EnableAckAudit starts recording, per shard and replica, the highest
-// payload version each replica durably acknowledges per store slot (the
-// loadgen payload layout: a little-endian uint32 version at byte 8). The
-// crash-point sweep reads the record back through AckedVersions to hold
-// every replica to its §4.2 ack contract: what you durably acknowledged,
-// your redo log must restore.
-func (c *Cluster) EnableAckAudit() {
-	for _, sh := range c.Shards {
-		sh := sh
-		sh.ackAudit = make([]map[uint64]uint32, c.P.Replicas)
-		for r := range sh.ackAudit {
-			sh.ackAudit[r] = make(map[uint64]uint32)
-		}
-		tag := func(req *rpc.Request) uint64 {
-			if len(req.Payload) < 12 {
-				return req.Key << 32
-			}
-			return req.Key<<32 | uint64(binary.LittleEndian.Uint32(req.Payload[8:]))
-		}
-		onDurable := func(replica int, t uint64, at sim.Time) {
-			slot, ver := t>>32, uint32(t)
-			if ver == 0 {
-				return // unversioned payload: nothing to audit
-			}
-			if ver > sh.ackAudit[replica][slot] {
-				sh.ackAudit[replica][slot] = ver
-			}
-		}
-		for _, cl := range sh.clients {
-			cl.WriteTag, cl.OnDurable = tag, onDurable
-		}
-	}
-}
-
-// AckedVersions returns replica r's durably-acknowledged version record
-// (nil unless EnableAckAudit ran). The map is live; callers must not hold
-// it across further traffic.
-func (sh *Shard) AckedVersions(r int) map[uint64]uint32 {
-	if sh.ackAudit == nil {
-		return nil
-	}
-	return sh.ackAudit[r]
-}
-
-// Healthy reports whether every replica is up and readmitted (no down
-// marks, no resync in flight).
-func (c *Cluster) Healthy() bool {
-	for _, sh := range c.Shards {
-		for r, rep := range sh.Replicas {
-			if !rep.alive || sh.ctl.Down(r) || sh.resyncing[r] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// AwaitHealthy blocks p until Healthy or the deadline; it reports success.
-func (c *Cluster) AwaitHealthy(p *sim.Proc, d time.Duration) bool {
-	deadline := p.Now().Add(d)
-	for !c.Healthy() {
-		if p.Now() > deadline {
-			return false
-		}
-		p.Sleep(100 * time.Microsecond)
-	}
-	return true
-}
-
-// sortedWroteKeys fills sh.keys with the recorded key set in ascending
-// order — deterministic iteration for shipping and verification.
-func (sh *Shard) sortedWroteKeys() []uint64 {
-	sh.keys = sh.keys[:0]
-	for k := range sh.wrote {
-		sh.keys = append(sh.keys, k)
-	}
-	sort.Slice(sh.keys, func(i, j int) bool { return sh.keys[i] < sh.keys[j] })
-	return sh.keys
-}
-
-// CheckConsistency verifies that every acknowledged write is present and
-// byte-identical on all live replicas of its shard — run after the kernel
-// settles (engines drained). It returns the first divergence found.
-func (c *Cluster) CheckConsistency() error {
-	buf := make([]byte, c.P.ObjSize)
-	for _, sh := range c.Shards {
-		// Slots are shared between cluster keys (keyIndex); only the last
-		// acknowledged write per slot is expected to be resident.
-		lastPerSlot := make(map[uint64]uint64)
-		for _, key := range sh.sortedWroteKeys() {
-			slot := keyIndex(key, c.P.Objects)
-			prev, ok := lastPerSlot[slot]
-			if !ok || sh.wrote[key].at > sh.wrote[prev].at ||
-				(sh.wrote[key].at == sh.wrote[prev].at && key > prev) {
-				lastPerSlot[slot] = key
-			}
-		}
-		for _, key := range sh.sortedWroteKeys() {
-			if lastPerSlot[keyIndex(key, c.P.Objects)] != key {
-				continue // overwritten by a later acknowledged write
-			}
-			rec := sh.wrote[key]
-			want := rec.buf
-			for r, rep := range sh.Replicas {
-				if !rep.alive {
-					continue
-				}
-				if !rep.Store.Has(keyIndex(key, c.P.Objects)) {
-					return fmt.Errorf("shard %d replica %d: acked key %d missing", sh.ID, r, key)
-				}
-				got := rep.Host.PM.ReadBytesInto(rep.Store.Addr(keyIndex(key, c.P.Objects)), buf[:len(want)])
-				if !bytes.Equal(got, want) {
-					return fmt.Errorf("shard %d replica %d: acked key %d diverged", sh.ID, r, key)
-				}
-			}
-		}
-	}
-	return nil
-}

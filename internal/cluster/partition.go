@@ -18,9 +18,11 @@ import (
 	"prdma/internal/ycsb"
 )
 
-// This file is the partitioned (engine-mode) cluster deployment: the same
-// sharded, replicated durable KV as New, but spread over the kernels of one
-// sim.Engine so independent partitions can execute on parallel workers.
+// This file is the cluster deployment: the sharded, replicated durable KV
+// spread over the kernels of one sim.Engine, so independent partitions can
+// execute on parallel workers. Every driver — the failover figure, the
+// cluster scenarios, the fault matrix and the crash sweep — runs on it, and
+// its output is byte-identical at any worker count.
 //
 // Partition layout: gateway g is engine kernel g, shard group s (all of its
 // replicas) is kernel Gateways+s. Every client↔replica connection crosses a
@@ -31,15 +33,15 @@ import (
 // gateway's kernel and merged canonically after the engine drains, so no
 // shared mutable state crosses kernels on the data plane.
 //
-// Crash/recovery is supported with one topology restriction: the failover
-// controller (StartController, pfailover.go) requires Gateways == 1, so
-// every client-side structure it touches lives on a single kernel. Crash
-// injection is driver-driven at window barriers — CrashReplica and
-// RestartReplica run only from driver context inside a serialized engine
-// span (sim.Engine.Serialize), where a global event order exists. The
-// crash-free data plane keeps its parallel window execution, and a
-// Gateways>1 deployment is byte-identical to what it was before failover
-// support existed (the controller connection is only built for Gateways==1).
+// Crash/recovery has one topology restriction: the failover controller
+// (StartController, pfailover.go) requires Gateways == 1, so every
+// client-side structure it touches lives on a single kernel. Crashes are
+// driver-driven at window barriers — InjectCrash and StepUntil, or
+// CrashReplica and RestartReplica directly — inside a serialized engine span
+// (sim.Engine.Serialize), where a global event order exists. The crash-free
+// data plane keeps its parallel window execution, and a Gateways>1
+// deployment never builds the controller connections, so its event stream
+// has no failover machinery in it at all.
 
 // PGroup is one shard group's partition: a kernel hosting all its replicas.
 //
@@ -58,22 +60,33 @@ type PGroup struct {
 	// pooled); nil unless Gateways == 1.
 	ctl *replicate.Client
 
-	// pendingSince/resyncing/resyncBusy/quiesce mirror Shard's failover
-	// bookkeeping (see Shard); Primary is the current primary replica.
+	// pendingSince is per replica: the earliest moment an unresynced down
+	// window began (zero when fully synced). Resync ships every key whose
+	// acknowledged write completed at or after pendingSince-Grace.
 	pendingSince []sim.Time
 	resyncing    []bool
 	resyncBusy   bool
-	quiesce      bool
-	Primary      int
+	// quiesce diverts new operations away from the pool while the resync
+	// readmission barrier collects every pooled client (see acquire).
+	quiesce bool
+	// Primary is the current primary replica.
+	Primary int
 
-	// ackAudit mirrors Shard.ackAudit: per replica, the highest payload
-	// version durably acknowledged per store slot (EnableAckAudit).
+	// ackAudit, when non-nil (EnableAckAudit), tracks per replica the
+	// highest payload version that replica has durably acknowledged per
+	// store slot. A durable ACK claims remote persistence (§4.2), so a
+	// crashed replica's redo-log replay must restore at least this version
+	// — the invariant the crash-point auditor checks before any repair
+	// images are shipped.
 	ackAudit []map[uint64]uint32
 
 	// keys is the sorted-key scratch for deterministic ship iteration.
 	keys []uint64
 
-	// Controller counters (same meaning as on Shard).
+	// Controller counters: crashes detected, primaries promoted, replicas
+	// readmitted, catch-up images shipped, redo-log entries replayed, and
+	// controller-mode op retries; DetectLag and ResyncTime sum the
+	// crash→MarkDown and resync-start→readmission spans.
 	Failovers, Promotions, Resyncs,
 	Shipped, Replayed, Retries int64
 	DetectLag, ResyncTime time.Duration
@@ -93,7 +106,7 @@ type PGateway struct {
 	Puts, Gets int64
 }
 
-// PCluster is the partitioned deployment.
+// PCluster is the cluster deployment (see the file comment).
 type PCluster struct {
 	Eng  *sim.Engine
 	P    Params
@@ -102,17 +115,21 @@ type PCluster struct {
 
 	Gateways []*PGateway
 	Groups   []*PGroup
+
+	// pending holds driver injections not yet fired (InjectCrash).
+	pending []injection
 }
 
 // CoordStats reports the deployment's window-coordination counters: how
-// many conservative windows ran, how many of those fused (solo-kernel
-// windows executed without a barrier), how many idle kernel dispatches were
+// many conservative windows ran, how many idle kernel dispatches were
 // skipped, how many windows actually entered the worker barrier, and the
-// cross-transfer slab hit rate. All values are deterministic at any worker
-// count; read them after the load completes, before Shutdown.
+// cross-transfer slab hit rate. fused is always 0: the engine no longer
+// fuses windows, and the result stays so existing readers keep compiling.
+// All values are deterministic at any worker count; read them after the
+// load completes, before Shutdown.
 func (c *PCluster) CoordStats() (windows, fused, idleSkips, barriers uint64, slabHits, slabMisses int64) {
 	slabHits, slabMisses = c.Net.XferSlabStats()
-	return c.Eng.Windows(), c.Eng.Fused(), c.Eng.IdleSkips(), c.Eng.Barriers(), slabHits, slabMisses
+	return c.Eng.Windows(), 0, c.Eng.IdleSkips(), c.Eng.Barriers(), slabHits, slabMisses
 }
 
 // NewPartitioned builds the partitioned cluster on a fresh engine with the
@@ -150,8 +167,10 @@ func NewPartitioned(workers int, p Params) (*PCluster, error) {
 				return nil, err
 			}
 			if !p.MutantResurrect {
-				// Same stale-write guard as the serial cluster (see New);
-				// the resurrect mutant disables it to seed the bug class.
+				// Verified payloads carry their version at byte 8 (see
+				// fill); the store guard keeps a stale duplicate or late
+				// retransmit from regressing a newer acked write. The
+				// resurrect mutant disables it to seed the bug class.
 				store.VersionAt = 8
 			}
 			engine := rpc.NewServer(h, store, p.Cfg)
@@ -267,11 +286,14 @@ func (c *PCluster) Healthy() bool {
 	return true
 }
 
-// EnableAckAudit mirrors Cluster.EnableAckAudit for the partitioned
-// deployment: per shard and replica, record the highest payload version each
-// replica durably acknowledges per store slot. Gateways == 1 only — the
-// audit maps hang off the shard groups but are written by gateway-kernel
-// callbacks, which is single-writer only with a single gateway.
+// EnableAckAudit starts recording, per shard and replica, the highest
+// payload version each replica durably acknowledges per store slot (the
+// fill payload layout: a little-endian uint32 version at byte 8). The crash
+// sweep reads the record back through AckedVersions to hold every replica
+// to its §4.2 ack contract: what you durably acknowledged, your redo log
+// must restore. Gateways == 1 only — the audit maps hang off the shard
+// groups but are written by gateway-kernel callbacks, which is
+// single-writer only with a single gateway.
 func (c *PCluster) EnableAckAudit() {
 	if c.P.Gateways != 1 {
 		panic("cluster: EnableAckAudit on a partitioned deployment needs Gateways == 1")
@@ -313,6 +335,33 @@ func (grp *PGroup) AckedVersions(r int) map[uint64]uint32 {
 	return grp.ackAudit[r]
 }
 
+// Retransmits totals RC retransmissions across every NIC in the cluster —
+// the "resends" column of the adversarial-matrix figure.
+func (c *PCluster) Retransmits() int64 {
+	var n int64
+	for _, gw := range c.Gateways {
+		n += gw.Host.NIC.Retransmits
+	}
+	for _, grp := range c.Groups {
+		for _, rep := range grp.Replicas {
+			n += rep.Host.NIC.Retransmits
+		}
+	}
+	return n
+}
+
+// StaleDrops totals version-guarded writes the replica stores rejected as
+// stale (late duplicates or retransmits of overwritten versions).
+func (c *PCluster) StaleDrops() int64 {
+	var n int64
+	for _, grp := range c.Groups {
+		for _, rep := range grp.Replicas {
+			n += rep.Store.StaleDrops
+		}
+	}
+	return n
+}
+
 // PMFull totals the replicas' PM-exhaustion backpressure drops — writes that
 // could not be homed because the arena ran out. Surfaced as a stat so a
 // sizing mistake reads as backpressure, not a panic.
@@ -350,8 +399,11 @@ func (gw *PGateway) record(shard int, key uint64, ver uint32, payload []byte, at
 }
 
 // acquire checks out a pooled client for shard s via gateway g, yielding to
-// a controller's readmission barrier first (see Shard.acquire). Without a
-// controller quiesce is never set and this is a plain pool pop.
+// a controller's readmission barrier first: while the resync controller is
+// quiescing the shard, new operations wait here instead of queueing on the
+// pool, so the barrier collects the whole pool in bounded time no matter
+// how many clients are hammering it. Without a controller quiesce is never
+// set and this is a plain pool pop.
 func (c *PCluster) acquire(p *sim.Proc, g, s int) *replicate.Client {
 	for c.Groups[s].quiesce {
 		p.Sleep(20 * time.Microsecond)
@@ -360,11 +412,13 @@ func (c *PCluster) acquire(p *sim.Proc, g, s int) *replicate.Client {
 }
 
 // PutOn routes one durable replicated write through gateway g. p must be a
-// proc on that gateway's kernel. Without a failover controller the crash-free
-// topology needs no retry loop — an error is a bug, not a failover window —
-// and the path stays exactly the pre-failover event stream. With a
-// controller installed (Gateways == 1), writes retry across failover windows
-// the way the serial cluster's Put does.
+// proc on that gateway's kernel. ver tags the payload version for the
+// consistency checkers; pass 0 when unused. Without a failover controller
+// the crash-free topology needs no retry loop — an error is a bug, not a
+// failover window. With a controller installed (Gateways == 1), writes
+// retry across failover windows (full-object writes are idempotent), so a
+// successful return means the write is acknowledged under the shard's
+// policy: it must survive any single-replica crash.
 func (c *PCluster) PutOn(p *sim.Proc, g int, key uint64, ver uint32, payload []byte) error {
 	gw := c.Gateways[g]
 	s := c.Ring.Shard(key)
@@ -628,11 +682,10 @@ func (r *PLoadRun) Collect() *PLoadResult {
 	return res
 }
 
-// RunLoad drives the partitioned workload: it spawns per-gateway client
-// procs, runs the engine to completion, and merges the per-gateway results
-// canonically (by completion time, then gateway). Closed loop and the plain
-// open-loop mix are supported; YCSB workload mixes stay on the serial
-// cluster.
+// RunLoad drives the workload: it spawns per-gateway client procs, runs the
+// engine to completion, and merges the per-gateway results canonically (by
+// completion time, then gateway). Closed loop runs the plain ReadFrac mix or
+// a YCSB workload; open loop runs the plain mix.
 //
 // In open loop, Load.LogicalClients (when > over the worker count) models a
 // client population far larger than the service-worker pool: the aggregate
@@ -656,8 +709,8 @@ func (c *PCluster) StartLoad(l Load) (*PLoadRun, error) {
 	if l.Clients <= 0 || l.Ops <= 0 {
 		return nil, fmt.Errorf("cluster: load needs Clients>0, Ops>0")
 	}
-	if l.Workload != 0 {
-		return nil, fmt.Errorf("cluster: YCSB workloads run on the serial cluster only")
+	if l.OpenLoop && l.Workload != 0 {
+		return nil, fmt.Errorf("cluster: YCSB workloads run closed-loop only")
 	}
 	G := c.P.Gateways
 	if l.KeySpace <= 0 {
@@ -674,6 +727,9 @@ func (c *PCluster) StartLoad(l Load) (*PLoadRun, error) {
 	if l.Theta == 0 {
 		l.Theta = 0.99
 	}
+	if l.MaxScan <= 0 {
+		l.MaxScan = 8
+	}
 
 	runs := make([]*pgwRun, G)
 
@@ -684,9 +740,22 @@ func (c *PCluster) StartLoad(l Load) (*PLoadRun, error) {
 		runs[g] = run
 		nextVer := make(map[uint64]uint32)
 
-		// op runs one operation on a proc of this gateway's kernel. Reads of
-		// keys owned by another gateway's clients check payload structure
-		// only: the issued-version history lives with the owner.
+		// checkRead verifies one read of key. Reads of keys owned by another
+		// gateway's clients check payload structure only: the issued-version
+		// history lives with the owner.
+		checkRead := func(data []byte, key uint64) {
+			maxVer := uint32(math.MaxUint32)
+			if ownerGateway(key, l.Clients, G) == g {
+				maxVer = run.issuedVer[key]
+			}
+			if err := checkFill(data, key, maxVer); err != nil {
+				run.badReads++
+			}
+		}
+
+		// op runs one operation on a proc of this gateway's kernel and
+		// records its sample. arrivedAt anchors the latency measurement (open
+		// loop: the scheduled arrival; closed loop: the issue instant).
 		buf := make(map[int][]byte)
 		op := func(wp *sim.Proc, client int, write bool, key uint64, arrivedAt sim.Time) {
 			shard := c.Ring.Shard(key)
@@ -720,17 +789,34 @@ func (c *PCluster) StartLoad(l Load) (*PLoadRun, error) {
 				}
 				run.reads++
 				if l.Verify {
-					maxVer := uint32(math.MaxUint32)
-					if ownerGateway(key, l.Clients, G) == g {
-						maxVer = run.issuedVer[key]
-					}
-					if err := checkFill(data, key, maxVer); err != nil {
-						run.badReads++
-					}
+					checkRead(data, key)
 				}
 			}
 			now := wp.Now()
 			run.samples = append(run.samples, Sample{At: now, Dur: now.Sub(arrivedAt), Shard: shard, Write: write})
+		}
+
+		// scan serves one workload-E scan as n sequential reads; the whole
+		// scan is one sample.
+		scan := func(wp *sim.Proc, key uint64, n int) {
+			start := wp.Now()
+			if n <= 0 {
+				n = 1
+			}
+			for i := 0; i < n; i++ {
+				k := (key + uint64(i)) % uint64(l.KeySpace)
+				data, err := c.GetOn(wp, g, k, c.P.ObjSize)
+				if err != nil {
+					run.errors++
+					return
+				}
+				run.reads++
+				if l.Verify {
+					checkRead(data, k)
+				}
+			}
+			now := wp.Now()
+			run.samples = append(run.samples, Sample{At: now, Dur: now.Sub(start), Shard: c.Ring.Shard(key)})
 		}
 
 		wg := sim.NewWaitGroup(gw.K)
@@ -811,9 +897,35 @@ func (c *PCluster) StartLoad(l Load) (*PLoadRun, error) {
 					ops++
 				}
 				run.clientSet[client] = struct{}{}
+				seed := l.Seed ^ (uint64(client)+1)*0x9e3779b97f4a7c15
 				gw.K.Go(fmt.Sprintf("gw%d-client%d", g, client), func(wp *sim.Proc) {
 					defer wg.Done()
-					rng := sim.NewRand(l.Seed ^ (uint64(client)+1)*0x9e3779b97f4a7c15)
+					if l.Workload != 0 {
+						gen := ycsb.NewGenerator(l.Workload, ycsb.Config{
+							Records:   int(l.KeySpace),
+							ValueSize: c.P.ObjSize,
+							Theta:     l.Theta,
+							MaxScan:   l.MaxScan,
+							Seed:      seed,
+						})
+						for i := 0; i < ops; i++ {
+							// One generator draw is one op; read-modify-write
+							// pairs (F) sample as a read plus a write.
+							for _, r := range gen.Next() {
+								key := r.Key % uint64(l.KeySpace)
+								switch r.Op {
+								case rpc.OpScan:
+									scan(wp, key, r.ScanLen)
+								case rpc.OpWrite:
+									op(wp, client, true, key, wp.Now())
+								default:
+									op(wp, client, false, key, wp.Now())
+								}
+							}
+						}
+						return
+					}
+					rng := sim.NewRand(seed)
 					zipf := ycsb.NewZipfian(rng, l.KeySpace, l.Theta)
 					for i := 0; i < ops; i++ {
 						op(wp, client, rng.Float64() >= l.ReadFrac, uint64(zipf.Scrambled()), wp.Now())

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"prdma/internal/rpc"
+	"prdma/internal/sim"
+	"prdma/internal/ycsb"
 )
 
 func partParams() Params {
@@ -15,6 +18,15 @@ func partParams() Params {
 	p.Gateways = 2
 	p.Objects = 256
 	p.ObjSize = 64
+	return p
+}
+
+// quickParams is a single-gateway 2×3 deployment: the topology the failover
+// controller runs on.
+func quickParams() Params {
+	p := partParams()
+	p.Gateways = 1
+	p.Replicas = 3
 	return p
 }
 
@@ -211,23 +223,210 @@ func TestPartitionedFailoverRecovery(t *testing.T) {
 	c.Eng.Shutdown()
 }
 
-// TestPartitionedMatchesSerialSemantics sanity-checks the data plane against
-// the serial cluster: same op mix, both end consistent with all reads
-// verified (timings differ — the topologies are different — but semantics
-// must not).
-func TestPartitionedMatchesSerialSemantics(t *testing.T) {
-	l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, Verify: true, Seed: 9}
-	res, cerr := runPart(t, 2, l)
-	if cerr != nil {
-		t.Fatalf("partitioned consistency: %v", cerr)
+// TestPartitionedWorkloadSemantics drives the plain mix and every YCSB core
+// workload through one and two gateways: every op completes without error,
+// every read verifies, the cluster ends consistent, and the result is
+// identical at 1 and 4 workers.
+func TestPartitionedWorkloadSemantics(t *testing.T) {
+	wls := append([]ycsb.Workload{0}, ycsb.Workloads...)
+	for _, gateways := range []int{1, 2} {
+		for _, wl := range wls {
+			name := "mix"
+			if wl != 0 {
+				name = wl.String()
+			}
+			t.Run(fmt.Sprintf("gw%d/%s", gateways, name), func(t *testing.T) {
+				p := partParams()
+				p.Gateways = gateways
+				l := Load{Clients: 4, Ops: 200, ReadFrac: 0.3, Workload: wl, Verify: true, Seed: 9}
+				run := func(workers int) *PLoadResult {
+					c, err := NewPartitioned(workers, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Eng.Shutdown()
+					res, err := c.RunLoad(l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := c.CheckConsistency(); err != nil {
+						t.Fatalf("workers=%d: consistency: %v", workers, err)
+					}
+					if c.Puts() != int64(res.Writes) || c.Gets() != int64(res.Reads) {
+						t.Fatalf("workers=%d: counters puts=%d gets=%d, result writes=%d reads=%d",
+							workers, c.Puts(), c.Gets(), res.Writes, res.Reads)
+					}
+					return res
+				}
+				res := run(1)
+				if res.Errors != 0 || res.BadReads != 0 {
+					t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
+				}
+				if wl == 0 && res.Writes+res.Reads != l.Ops {
+					t.Fatalf("writes=%d reads=%d, want total %d", res.Writes, res.Reads, l.Ops)
+				}
+				if len(res.Samples) < l.Ops || (res.Writes == 0 && wl != ycsb.C) || res.Reads == 0 {
+					t.Fatalf("degenerate run: %d samples, %d writes, %d reads", len(res.Samples), res.Writes, res.Reads)
+				}
+				if res.End <= 0 || res.Throughput() <= 0 {
+					t.Fatalf("degenerate timing end=%v", res.End)
+				}
+				if again := run(4); again.Fingerprint() != res.Fingerprint() {
+					t.Fatalf("workers=4 fingerprint %x != workers=1 %x", again.Fingerprint(), res.Fingerprint())
+				}
+			})
+		}
+	}
+	c, err := NewPartitioned(1, partParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.Shutdown()
+	if _, err := c.StartLoad(Load{Clients: 2, Ops: 10, Workload: ycsb.A, OpenLoop: true, Rate: 1e5}); err == nil {
+		t.Fatal("open-loop YCSB load did not error")
+	}
+}
+
+// TestClusterPutGetConverges drives a healthy single-gateway cluster with
+// its controller running and checks every acknowledged write is
+// byte-identical on all replicas once settled.
+func TestClusterPutGetConverges(t *testing.T) {
+	c, err := NewPartitioned(2, quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.Shutdown()
+	ct, err := c.StartController()
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := c.StartLoad(Load{Clients: 8, Ops: 400, ReadFrac: 0.5, Verify: true, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.StepUntil(load.Done, c.Now().Add(time.Second))
+	ct.Drain(c.Now().Add(2 * time.Millisecond))
+	res := load.Collect()
+	if len(res.Samples) != 400 {
+		t.Fatalf("samples: got %d, want 400", len(res.Samples))
 	}
 	if res.Errors != 0 || res.BadReads != 0 {
-		t.Fatalf("partitioned: errors=%d badReads=%d", res.Errors, res.BadReads)
+		t.Fatalf("errors=%d badReads=%d", res.Errors, res.BadReads)
 	}
-	if res.Writes+res.Reads != l.Ops {
-		t.Fatalf("partitioned: writes=%d reads=%d, want total %d", res.Writes, res.Reads, l.Ops)
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
-	if res.End <= 0 || res.Throughput() <= 0 {
-		t.Fatalf("partitioned: degenerate timing end=%v", res.End)
+	if res.Writes == 0 || res.Reads == 0 {
+		t.Fatalf("degenerate mix: %d writes %d reads", res.Writes, res.Reads)
+	}
+	if len(ct.Events) != 0 {
+		t.Fatalf("controller acted on a crash-free run: %v", ct.Events)
+	}
+}
+
+// TestClusterFailover crashes a shard primary mid-load through the driver's
+// injection API: the controller must detect it, promote a survivor, resync
+// the rejoiner once InjectCrash's scheduled restart fires, and no
+// acknowledged write may be lost or diverge.
+func TestClusterFailover(t *testing.T) {
+	c, err := NewPartitioned(2, quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Eng.Shutdown()
+	ct, err := c.StartController()
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := c.StartLoad(Load{Clients: 8, Ops: 1200, ReadFrac: 0.5, Verify: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crash shard 0's primary once traffic is flowing.
+	c.StepUntil(func() bool { return c.Now() >= sim.Time(500*time.Microsecond) }, sim.Time(time.Second))
+	c.Eng.Serialize()
+	crashAt := c.Now()
+	c.InjectCrash(crashAt, 0, c.Groups[0].Primary)
+	horizon := crashAt.Add(50 * time.Millisecond)
+	c.StepUntil(func() bool { return load.Done() && c.Healthy() }, horizon)
+	ct.Drain(c.Now().Add(2 * time.Millisecond))
+	c.Eng.Unserialize()
+	if !c.Healthy() {
+		t.Fatal("cluster never became healthy again")
+	}
+	res := load.Collect()
+	if res.Errors != 0 {
+		t.Fatalf("%d operations failed permanently", res.Errors)
+	}
+	if res.BadReads != 0 {
+		t.Fatalf("%d reads returned invalid payloads", res.BadReads)
+	}
+	grp := c.Groups[0]
+	if grp.Failovers == 0 {
+		t.Fatal("controller never detected the crash")
+	}
+	if grp.Promotions == 0 {
+		t.Fatal("no primary promotion")
+	}
+	if grp.Resyncs == 0 {
+		t.Fatal("replica never resynchronized")
+	}
+	if grp.Replicas[0].Restarts+grp.Replicas[1].Restarts+grp.Replicas[2].Restarts == 0 {
+		t.Fatal("victim never restarted")
+	}
+	if err := c.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ct.LastEvent("resync-done"); got == 0 {
+		t.Fatal("no resync-done event recorded")
+	}
+}
+
+// TestClusterOpenLoop exercises the open-loop generator: latency includes
+// queueing delay, so with a deliberately overloaded arrival rate the mean
+// open-loop latency must exceed the closed-loop mean on the same cluster.
+func TestClusterOpenLoop(t *testing.T) {
+	mean := func(open bool) time.Duration {
+		l := Load{Clients: 4, Ops: 300, ReadFrac: 0.5, Seed: 11}
+		if open {
+			l.OpenLoop = true
+			l.Rate = 2e6 // well past 4 workers' capacity: queueing builds
+		}
+		res, cerr := runPart(t, 1, l)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if len(res.Samples) != 300 {
+			t.Fatalf("%d samples, want 300", len(res.Samples))
+		}
+		var sum time.Duration
+		for _, s := range res.Samples {
+			sum += s.Dur
+		}
+		return sum / time.Duration(len(res.Samples))
+	}
+	closedMean, openMean := mean(false), mean(true)
+	if openMean <= closedMean {
+		t.Fatalf("overloaded open-loop mean %v should exceed closed-loop %v (queueing)", openMean, closedMean)
+	}
+}
+
+// TestClusterRouting pins routing determinism: the same key always lands on
+// the same shard, and the load spreads across all shards.
+func TestClusterRouting(t *testing.T) {
+	c, err := NewPartitioned(1, quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]int)
+	for key := uint64(0); key < 512; key++ {
+		s := c.Ring.Shard(key)
+		if s2 := c.Ring.Shard(key); s2 != s {
+			t.Fatalf("key %d routed to %d then %d", key, s, s2)
+		}
+		seen[s]++
+	}
+	if len(seen) != c.P.Shards {
+		t.Fatalf("only %d of %d shards received keys", len(seen), c.P.Shards)
 	}
 }

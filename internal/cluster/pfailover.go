@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"prdma/internal/replicate"
@@ -9,9 +10,34 @@ import (
 	"prdma/internal/sim"
 )
 
-// PController is the partitioned deployment's membership/failover
-// controller: the same detect/promote/resync choreography as the serial
-// Controller, running as a proc on the (single) gateway kernel.
+// Event is one failover milestone, timestamped for the figure driver's
+// phase bucketing.
+type Event struct {
+	At             sim.Time
+	Kind           string // detect | promote | resync-start | resync-done | resync-abort
+	Shard, Replica int
+}
+
+// PController is the membership/failover controller: a sim-timer-driven
+// failure detector plus the promotion and resync choreography, running as a
+// proc on the (single) gateway kernel.
+//
+// Detection: the controller polls every replica's liveness each CheckEvery
+// (a heartbeat stand-in). On a crash it marks the replica down on every
+// pooled client — writes shrink to the live set, reads divert via the
+// staleness guard — and, if the victim was the shard primary, promotes the
+// next live in-sync replica once that replica's redo log has fully
+// replayed (engine queue drained).
+//
+// Resync: when the victim restarts, the controller re-establishes every
+// pooled connection to it (replaying each connection's durable redo-log
+// backlog server-side, with no client re-transmission — the paper's §4.2
+// recovery), then ships the deduplicated acknowledged-write log for the
+// down window (latest image per key, completion time ≥ pendingSince−Grace)
+// over its own dedicated connection. Shipping runs in rounds while traffic
+// continues; the final round runs with every pooled client held, so no
+// write can be in flight when the replica is readmitted — MarkUp therefore
+// never misses an acknowledged write.
 //
 // Topology restriction: Gateways == 1. Every client-side structure the
 // controller touches — the connection pool, the acknowledged-write record,
@@ -25,7 +51,7 @@ import (
 // discipline — re-establishing connections (server-side log recovery driven
 // from a gateway proc), polling a victim's engine queue depth, the
 // readmission barrier — therefore executes inside serialized windows, where
-// the engine provides the same global event order the serial kernel would.
+// the engine provides the global event order a single kernel would.
 // The crash-free detector poll only reads replica liveness, which changes
 // exclusively at barriers, so parallel windows never observe a torn update.
 type PController struct {
@@ -35,7 +61,9 @@ type PController struct {
 
 	// AuditReplay, when set, runs during resync after the rejoining
 	// replica's redo-log backlogs have replayed and applied but before any
-	// catch-up image ships — see Controller.AuditReplay.
+	// catch-up image ships — the one instant where the replica's durable
+	// state reflects exactly what it persisted on its own. The crash sweep
+	// audits the §4.2 per-replica ack contract there.
 	AuditReplay func(p *sim.Proc, grp *PGroup, r int)
 }
 
@@ -44,7 +72,7 @@ type PController struct {
 // only creates the controller connections then).
 func (c *PCluster) StartController() (*PController, error) {
 	if c.P.Gateways != 1 || c.Groups[0].ctl == nil {
-		return nil, errors.New("cluster: partitioned failover controller needs Gateways == 1")
+		return nil, errors.New("cluster: the failover controller needs Gateways == 1")
 	}
 	ct := &PController{C: c}
 	c.Gateways[0].K.Go("pfailover-ctl", ct.loop)
@@ -56,6 +84,27 @@ func (ct *PController) Stop() { ct.stopped = true }
 
 func (ct *PController) event(at sim.Time, kind string, s, r int) {
 	ct.Events = append(ct.Events, Event{At: at, Kind: kind, Shard: s, Replica: r})
+}
+
+// LastEvent returns the time of the most recent event of the given kind
+// (zero if none).
+func (ct *PController) LastEvent(kind string) sim.Time {
+	var at sim.Time
+	for _, e := range ct.Events {
+		if e.Kind == kind {
+			at = e.At
+		}
+	}
+	return at
+}
+
+// Drain stops detection and runs the engine until it goes quiescent or the
+// latest kernel clock reaches horizon: outstanding resyncs, promotions and
+// engine applies finish. Call at a window barrier.
+func (ct *PController) Drain(horizon sim.Time) {
+	ct.Stop()
+	for ct.C.Now() < horizon && ct.C.Eng.RunWindows(256) != 0 {
+	}
 }
 
 func (ct *PController) loop(p *sim.Proc) {
@@ -77,7 +126,8 @@ func (ct *PController) loop(p *sim.Proc) {
 }
 
 // detect marks the replica down across every client and promotes a new
-// primary if the victim held the role (see Controller.detect).
+// primary if the victim held the role. No yields before the marks: the
+// membership flip is atomic under the cooperative scheduler.
 func (ct *PController) detect(p *sim.Proc, grp *PGroup, r int) {
 	now := p.Now()
 	if grp.pendingSince[r] == 0 {
@@ -125,8 +175,10 @@ func (ct *PController) promote(k *sim.Kernel, grp *PGroup, down int) {
 // resync readmits a restarted replica: reestablish every connection to it
 // (server-side redo-log replay), audit, then ship the deduplicated
 // acknowledged-write log in catch-up rounds and a final held-pool barrier
-// round — the same procedure as Controller.resync, against the gateway's
-// per-shard pool and write record.
+// round, against the gateway's per-shard pool and write record. It aborts —
+// keeping the replica marked down and its pendingSince floor — if the
+// replica crashes again mid-resync; the detector loop restarts the
+// procedure after the next restart.
 func (ct *PController) resync(p *sim.Proc, grp *PGroup, r int) {
 	defer func() { grp.resyncing[r] = false }()
 	for grp.resyncBusy {
@@ -191,7 +243,10 @@ func (ct *PController) resync(p *sim.Proc, grp *PGroup, r int) {
 		ct.AuditReplay(p, grp, r)
 	}
 
-	// 2. Capped catch-up ship rounds while traffic continues.
+	// 2. Catch-up ship rounds while traffic continues. Under sustained write
+	// load the rounds may never reach zero (each ships the writes that
+	// landed during the previous one), so they are capped — the barrier's
+	// final round below closes the gap, these only shrink it.
 	for round := 0; ; round++ {
 		n, err := ct.ship(p, grp, r, shipFloor, shippedAt)
 		if err != nil || !rep.alive {
@@ -246,9 +301,15 @@ func (ct *PController) reestablish(p *sim.Proc, cl *replicate.Client, r int) int
 	return n
 }
 
+// shipWindow is the ship pipeline depth: enough outstanding writes on the
+// controller connection that shipping outruns the cluster's write arrival
+// rate (a serial ship round could otherwise never catch up).
+const shipWindow = 16
+
 // ship sends the latest acknowledged image of every key at or after floor
 // and not yet shipped at its current version, pipelined shipWindow deep on
-// the controller's dedicated connection (see Controller.ship).
+// the controller's dedicated connection. Keys go in ascending order —
+// deterministic for a fixed seed.
 func (ct *PController) ship(p *sim.Proc, grp *PGroup, r int, floor sim.Time, shippedAt map[uint64]sim.Time) (int, error) {
 	ac, ok := grp.ctl.Replica(r).(rpc.AsyncClient)
 	if !ok {
@@ -303,4 +364,111 @@ func (ct *PController) waitApplied(p *sim.Proc, rep *Replica) bool {
 	}
 	p.Sleep(100 * time.Microsecond) // workers mid-apply
 	return rep.alive && rep.Engine.QueueDepth() == 0
+}
+
+// injection is a driver-side intervention, fired at the first window barrier
+// at or past its due time: a replica crash, or the restart a crash schedules
+// P.Restart after it fires.
+type injection struct {
+	due   sim.Time
+	crash bool
+	s, r  int
+}
+
+// InjectCrash schedules replica r of shard s to crash at the first window
+// barrier at or past at, and to restart P.Restart after the crash fires.
+// Injections fire only inside StepUntil, and the caller must hold a
+// Serialize token from the first crash until the cluster is healthy again
+// (CrashReplica panics otherwise). Driver context only.
+func (c *PCluster) InjectCrash(at sim.Time, s, r int) {
+	c.pending = append(c.pending, injection{due: at, crash: true, s: s, r: r})
+}
+
+// StepUntil steps the engine from a window barrier, firing every due
+// injection at each barrier, until no injection is pending and done reports
+// true, the latest kernel clock reaches horizon, or the engine goes
+// quiescent. It checks between batches of 16 windows, so where it stops is a
+// pure function of the simulation, and it returns at a window barrier.
+func (c *PCluster) StepUntil(done func() bool, horizon sim.Time) {
+	for {
+		now := c.Now()
+		for i := 0; i < len(c.pending); {
+			inj := c.pending[i]
+			if inj.due > now {
+				i++
+				continue
+			}
+			c.pending = append(c.pending[:i], c.pending[i+1:]...)
+			if inj.crash {
+				c.CrashReplica(inj.s, inj.r)
+				c.pending = append(c.pending, injection{due: now.Add(c.P.Restart), s: inj.s, r: inj.r})
+			} else {
+				c.RestartReplica(inj.s, inj.r)
+			}
+			i = 0
+		}
+		if len(c.pending) == 0 && done() {
+			return
+		}
+		if now >= horizon || c.Eng.RunWindows(16) == 0 {
+			return
+		}
+	}
+}
+
+// FailoverRun is one load driven through RunFailover.
+type FailoverRun struct {
+	Load *PLoadResult
+	Ctl  *PController
+	// Victim is the crashed replica of shard 0 and CrashAt its crash time
+	// (-1 and zero when no crash was asked for).
+	Victim  int
+	CrashAt sim.Time
+	// Healthy reports whether every replica was readmitted within
+	// failoverGrace of the load finishing.
+	Healthy bool
+}
+
+const (
+	// failoverGrace bounds how long after the load the controller may take
+	// to readmit a victim, and then to drain.
+	failoverGrace = 200 * time.Millisecond
+	// loadHorizon bounds the load itself, so a stalled run ends as an
+	// unfinished load instead of a hang.
+	loadHorizon = 60 * time.Second
+)
+
+// RunFailover drives l on a fresh Gateways == 1 deployment with the failover
+// controller running. When crashAfter is positive, shard 0's primary
+// crashes at the first stepping barrier after crashAfter ops have completed
+// and restarts P.Restart later; the driver holds a Serialize token from the
+// crash to the end. After the load, the controller gets failoverGrace to
+// readmit every replica, then it is stopped and the engine drained.
+func (c *PCluster) RunFailover(l Load, crashAfter int64) (*FailoverRun, error) {
+	ct, err := c.StartController()
+	if err != nil {
+		return nil, err
+	}
+	load, err := c.StartLoad(l)
+	if err != nil {
+		return nil, err
+	}
+	run := &FailoverRun{Ctl: ct, Victim: -1}
+	horizon := c.Now().Add(loadHorizon)
+	if crashAfter > 0 {
+		c.StepUntil(func() bool { return c.Puts()+c.Gets() >= crashAfter || load.Done() }, horizon)
+		c.Eng.Serialize()
+		defer c.Eng.Unserialize()
+		run.Victim, run.CrashAt = c.Groups[0].Primary, c.Now()
+		c.InjectCrash(run.CrashAt, 0, run.Victim)
+	}
+	c.StepUntil(load.Done, horizon)
+	if !load.Done() {
+		return nil, fmt.Errorf("cluster: load unfinished after %v of simulated time", loadHorizon)
+	}
+	c.StepUntil(c.Healthy, c.Now().Add(failoverGrace))
+	run.Healthy = c.Healthy()
+	ct.Drain(c.Now().Add(failoverGrace))
+	run.Load = load.Collect()
+	return run, nil
 }

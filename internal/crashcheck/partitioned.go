@@ -1,18 +1,35 @@
-// Partitioned mode: the cluster crash sweep against the parallel engine
-// deployment (cluster.NewPartitioned). The serial sweep's crash coordinate
-// — "after event i" — does not exist under parallel execution: worker
-// threads interleave events inside a window, so no global event index is
-// stable. Window barriers are: every boundary is a global quiesce point
-// (no kernel mid-event, every delivered cross message queued), and with
-// identical inputs the i-th window covers the same events in every run at
-// any worker count. So the partitioned sweep crashes "at window w" instead,
+// Cluster mode: the crash-point sweep applied to the sharded, replicated
+// deployment (internal/cluster) on the parallel engine. The single-server
+// sweep's crash coordinate — "after event i" — does not exist under
+// parallel execution: worker threads interleave events inside a window, so
+// no global event index is stable. Window barriers are: every boundary is a
+// global quiesce point (no kernel mid-event, every delivered cross message
+// queued), and with identical inputs the i-th window covers the same events
+// in every run at any worker count. So the sweep crashes "at window w",
 // replaying the same workload per point and injecting the crash at that
 // barrier inside a serialized engine span. The driver holds the Serialize
-// token — and with it the serial-kernel-equivalent global event order the
+// token — and with it the single-kernel-equivalent global event order the
 // failover choreography needs — from the crash until the cluster is healthy
 // again, firing restarts and second crashes at the first barrier past their
-// due time. Invariants checked are the cluster contract (see cluster.go);
-// a violation's minimal repro is its (seed, window, workers) triple.
+// due time. Each point may land anywhere in the issue/failover/resync state
+// space, optionally with a second crash of the same shard while the first
+// resync is in flight, and asserts the cluster contract:
+//
+//  1. No acknowledged write is lost: every Put that returned success is
+//     present, untorn, on every live replica of its shard.
+//  2. Replicas converge byte-identically: live replicas of a shard hold
+//     identical bytes for every acknowledged key (single-writer keys make
+//     apply order deterministic across replicas).
+//  3. Liveness: the workload finishes, no operation fails permanently, and
+//     the cluster returns to full health (victim readmitted) before the
+//     settle horizon.
+//  4. Read sanity: every read during the run returned a well-formed
+//     payload no newer than the issued history.
+//  5. Ack contract: a rejoining replica's redo-log replay restores every
+//     version it durably acknowledged, before any catch-up image ships.
+//
+// A violation's minimal repro is its (seed, window) pair, at any worker
+// count.
 package crashcheck
 
 import (
@@ -23,7 +40,10 @@ import (
 	"time"
 
 	"prdma/internal/cluster"
+	"prdma/internal/fabric"
 	"prdma/internal/sim"
+	"prdma/internal/stats"
+	"prdma/internal/ycsb"
 )
 
 // PartitionedConfig parameterizes one window-indexed sweep.
@@ -46,12 +66,22 @@ type PartitionedConfig struct {
 	// worker-count-stable, so a violation found at Workers=8 replays at
 	// Workers=1 — that is the point of the coordinate system.
 	Workers int
-	// Mutant seeds a known bug class, as in ClusterConfig: "ackbug" or
-	// "resurrect".
+	// Fault, when set, installs a deterministic fabric adversary (the same
+	// spec and seed for the reference run and every crash point). Fault
+	// runs shorten the RC retransmit interval and raise the retry budget
+	// so sub-millisecond partitions are ridden out by retransmission
+	// instead of killing queue pairs.
+	Fault *fabric.FaultSpec
+	// Workload, when set, drives the load from a YCSB core workload
+	// (ycsb.A..ycsb.F) instead of the default 70/30 mix.
+	Workload ycsb.Workload
+	// Mutant seeds a known bug class for the detection check: "ackbug"
+	// (flush ACK before the durability horizon) or "resurrect" (stale
+	// version guard off + resync ships images before replaying logs).
 	Mutant string
 }
 
-// DefaultPartitionedConfig returns a CI-sized partitioned sweep.
+// DefaultPartitionedConfig returns a CI-sized cluster sweep.
 func DefaultPartitionedConfig(seed int64) PartitionedConfig {
 	return PartitionedConfig{
 		Seed:             seed,
@@ -66,7 +96,32 @@ func DefaultPartitionedConfig(seed int64) PartitionedConfig {
 	}
 }
 
-// PartitionedResult summarizes one partitioned sweep. Point.Event holds the
+// ClusterViolation is one broken cluster invariant at one crash point.
+type ClusterViolation struct {
+	Seed  int64
+	Point Point
+	At    sim.Time
+	Msg   string
+}
+
+func (v ClusterViolation) String() string {
+	return fmt.Sprintf("cluster seed=%d %v at=%v: %s", v.Seed, v.Point, v.At, v.Msg)
+}
+
+// RefStats measures the sweep's crash-free reference run — the per-cell
+// performance row of the adversarial-matrix figure.
+type RefStats struct {
+	Ops          int
+	KOPS         float64
+	P50US, P99US float64
+	// Resends is total RC retransmissions; FaultDrops the injector-lost
+	// messages; Duplicated/Reordered the adversary's copies and holds;
+	// StaleDrops the version-guarded writes the stores rejected; Retries
+	// the cluster-level op retries.
+	Resends, FaultDrops, Duplicated, Reordered, StaleDrops, Retries int64
+}
+
+// PartitionedResult summarizes one cluster sweep. Point.Event holds the
 // crash window index.
 type PartitionedResult struct {
 	Seed    int64
@@ -75,6 +130,8 @@ type PartitionedResult struct {
 	// Windows is the window count of the crash-free reference load — the
 	// coordinate space the points were sampled from.
 	Windows uint64
+	// Ref measures the crash-free reference run.
+	Ref RefStats
 	// Controller work totals across all points.
 	Failovers, Resyncs, Replayed, Shipped int64
 	// PMFull totals PM-exhaustion backpressure drops across all points.
@@ -97,7 +154,7 @@ func (r *PartitionedResult) Minimal() *ClusterViolation {
 	return min
 }
 
-// pRun is one partitioned deployment plus its in-flight workload; the sweep
+// pRun is one cluster deployment plus its in-flight workload; the sweep
 // driver owns the engine stepping.
 type pRun struct {
 	c    *cluster.PCluster
@@ -119,10 +176,17 @@ func newPartitionedRun(cfg PartitionedConfig) *pRun {
 	p.Objects = 128
 	p.ObjSize = cfg.ObjSize
 	p.Seed = uint64(cfg.Seed) | 1
+	if cfg.Fault != nil {
+		// Adversary runs retransmit aggressively: a sub-millisecond
+		// partition or drop burst must be ridden out by RC retries well
+		// inside the retry budget, not kill the queue pair.
+		p.NIC.RetransmitInterval = 100 * time.Microsecond
+		p.NIC.RetryCount = 64
+	}
 	switch cfg.Mutant {
 	case "ackbug":
-		// See ClusterConfig.Mutant: the premature-ack knob only exists on
-		// the native flush path.
+		// The premature-ack knob only exists on the native flush path; the
+		// read-after-write emulation has no flush ACK to misplace.
 		p.NIC.EmulateFlush = false
 		p.NIC.AckBeforeDurable = true
 	case "resurrect":
@@ -134,6 +198,9 @@ func newPartitionedRun(cfg PartitionedConfig) *pRun {
 		panic(err)
 	}
 	r.c = c
+	if cfg.Fault != nil {
+		c.Net.SetInjector(fabric.NewInjector(*cfg.Fault, (uint64(cfg.Seed)|1)^0xfa175eed))
+	}
 	c.EnableAckAudit()
 	ct, err := c.StartController()
 	if err != nil {
@@ -145,6 +212,7 @@ func newPartitionedRun(cfg PartitionedConfig) *pRun {
 		Clients:  cfg.Clients,
 		Ops:      cfg.Ops,
 		ReadFrac: 0.3,
+		Workload: cfg.Workload,
 		Verify:   true,
 		Seed:     uint64(cfg.Seed) | 1,
 	})
@@ -154,9 +222,12 @@ func newPartitionedRun(cfg PartitionedConfig) *pRun {
 	return r
 }
 
-// auditReplay is the partitioned port of clusterRun.auditReplay: hold a
-// rejoining replica to its §4.2 ack contract right after log replay, before
-// any catch-up image ships.
+// auditReplay holds a rejoining replica to its §4.2 ack contract at the one
+// instant its durable state is exactly what it persisted itself: after its
+// redo-log backlogs replayed and applied, before any catch-up image ships.
+// Every slot version the replica durably acknowledged must be resident at
+// that version or newer — a flush ACK that replay cannot honor was a
+// durability lie (the ack-before-durable bug class).
 func (r *pRun) auditReplay(p *sim.Proc, grp *cluster.PGroup, ri int) {
 	acked := grp.AckedVersions(ri)
 	if len(acked) == 0 {
@@ -199,60 +270,40 @@ func (r *pRun) stepTo(w uint64) {
 	}
 }
 
-// injection is a driver-side pending intervention, fired at the first window
-// barrier at or past its due time. Crashes enqueue the victim's restart
-// P.Restart later — the partitioned CrashReplica leaves the restart to the
-// driver because only barriers may flip replica liveness.
-type injection struct {
-	due   sim.Time
-	crash bool
-	s, r  int
-}
-
-// settle fires due injections and steps windows until every injection has
-// fired, the load has finished, and the cluster is healthy — or the horizon
-// passes. The controller polls forever, so the engine never quiesces on its
-// own; sim time bounds the run. Returns at a window barrier.
-func (r *pRun) settle(pend []injection, horizon sim.Time) {
-	for {
-		now := r.c.Now()
-		for i := 0; i < len(pend); {
-			inj := pend[i]
-			if inj.due > now {
-				i++
-				continue
-			}
-			pend = append(pend[:i], pend[i+1:]...)
-			if inj.crash {
-				r.c.CrashReplica(inj.s, inj.r)
-				pend = append(pend, injection{due: now.Add(r.c.P.Restart), s: inj.s, r: inj.r})
-			} else {
-				r.c.RestartReplica(inj.s, inj.r)
-			}
-			i = 0
-		}
-		if len(pend) == 0 && r.load.Done() && r.c.Healthy() {
-			return
-		}
-		if now >= horizon {
-			return
-		}
-		if r.c.Eng.RunWindows(16) == 0 {
-			return
-		}
-	}
-}
-
 // drain stops the controller and runs the engine quiescent (bounded, in case
 // an auxiliary proc is still polling), then collects the load result.
 func (r *pRun) drain(horizon sim.Time) {
-	r.ct.Stop()
-	for r.c.Now() < horizon && r.c.Eng.RunWindows(256) != 0 {
-	}
+	r.ct.Drain(horizon)
 	r.res = r.load.Collect()
 }
 
-// verify checks the cluster contract after drain (see clusterRun.verify).
+// refStats extracts the performance row from a drained crash-free run.
+func (r *pRun) refStats() RefStats {
+	st := RefStats{
+		Resends:    r.c.Retransmits(),
+		StaleDrops: r.c.StaleDrops(),
+		FaultDrops: r.c.Net.DroppedFault,
+		Duplicated: r.c.Net.Duplicated,
+		Reordered:  r.c.Net.Reordered,
+	}
+	for _, grp := range r.c.Groups {
+		st.Retries += grp.Retries
+	}
+	if len(r.res.Samples) == 0 {
+		return st
+	}
+	st.Ops = len(r.res.Samples)
+	lat := stats.NewLatency(st.Ops)
+	for _, sm := range r.res.Samples {
+		lat.Add(sm.Dur)
+	}
+	st.KOPS = stats.Throughput{Ops: st.Ops, Elapsed: r.res.End.Duration()}.KOPS()
+	st.P50US = float64(lat.Percentile(50)) / float64(time.Microsecond)
+	st.P99US = float64(lat.Percentile(99)) / float64(time.Microsecond)
+	return st
+}
+
+// verify checks the cluster contract after drain.
 func (r *pRun) verify() []string {
 	var out []string
 	bad := func(format string, a ...any) {
@@ -306,6 +357,7 @@ func PartitionedSweep(cfg PartitionedConfig) PartitionedResult {
 	}
 	ref.drain(refHorizon)
 	res.Windows = ref.loadEndWindows
+	res.Ref = ref.refStats()
 	record := func(r *pRun, pt Point, at sim.Time, msgs []string) {
 		for _, msg := range msgs {
 			res.ViolationCount++
@@ -331,21 +383,22 @@ func PartitionedSweep(cfg PartitionedConfig) PartitionedResult {
 		s := int(w) % cfg.Shards
 		rep := int(w/uint64(cfg.Shards)) % cfg.Replicas
 		// The driver holds the Serialize token across the whole crash/
-		// recovery span: every post-crash window runs serial-kernel
-		// equivalent, which is what legalizes the controller's cross-
-		// partition reestablish/quiesce/drain choreography.
+		// recovery span: every post-crash window runs as one global event
+		// merge, which is what legalizes the controller's cross-partition
+		// reestablish/quiesce/drain choreography.
 		r.c.Eng.Serialize()
-		pend := []injection{{due: at, crash: true, s: s, r: rep}}
+		r.c.InjectCrash(at, s, rep)
 		if pt.SecondCrash {
 			// A second replica of the same shard fails while the first
 			// victim's recovery/resync is typically in flight.
 			delta := time.Duration(w%40) * 50 * time.Microsecond
-			pend = append(pend, injection{
-				due: at.Add(r.c.P.Restart + delta), crash: true, s: s, r: (rep + 1) % cfg.Replicas,
-			})
+			r.c.InjectCrash(at.Add(r.c.P.Restart+delta), s, (rep+1)%cfg.Replicas)
 		}
+		// Step until the load has finished and the cluster is healthy. The
+		// controller polls forever, so the engine never quiesces on its
+		// own; sim time bounds the run.
 		horizon := horizonFrom(at)
-		r.settle(pend, horizon)
+		r.c.StepUntil(func() bool { return r.load.Done() && r.c.Healthy() }, horizon)
 		r.drain(horizon)
 		r.c.Eng.Unserialize()
 		r.counters(&res)

@@ -61,8 +61,7 @@ func TestPartitionedSweepWorkerStable(t *testing.T) {
 }
 
 // TestPartitionedMutantsCaught seeds both known bug classes and expects the
-// partitioned sweep to flag each within a handful of points — the detection
-// power the serial cluster sweep already has must survive the engine port.
+// sweep to flag each within a handful of points.
 func TestPartitionedMutantsCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partitioned sweep is seconds-long")

@@ -7,12 +7,17 @@
 // layer's retransmission, dedup, and durability-horizon logic must absorb
 // every adversary here, which is exactly what the scenario matrix asserts.
 //
-// All randomness comes from one splitmix64 stream seeded at construction,
-// so a (spec, seed) pair reproduces the exact delivery schedule.
+// Every source endpoint draws from its own splitmix64 stream, seeded from
+// (injector seed, endpoint name), and keeps its own counters. A message is
+// judged on its source's kernel, so the draw order is the source's send
+// order: a pure function of the simulation, whether the network lives on one
+// kernel or is spread over an engine's partitions at any worker count. A
+// (spec, seed) pair therefore reproduces the exact delivery schedule.
 package fabric
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"time"
 
@@ -131,25 +136,69 @@ func (s *FaultSpec) Validate() error {
 
 // Injector evaluates one FaultSpec against every message the network sends.
 // Attach with Network.SetInjector; a nil injector (the default) leaves the
-// fabric's behavior — timing, stats, allocation — exactly unchanged.
+// fabric's behavior — timing, stats, allocation — exactly unchanged. Every
+// verdict only drops a message or delays it, so an injector never brings a
+// delivery inside the engine's lookahead.
 type Injector struct {
 	Spec FaultSpec
+	seed uint64
+	// sources holds one entry per source endpoint, each owned by that
+	// endpoint's kernel; the counter accessors sum them.
+	sources []*injSource
+}
+
+// injSource is one source endpoint's share of an injector: its random
+// stream and its per-adversary counters, split finer than the network's
+// DroppedFault total so the matrix figure can attribute loss.
+type injSource struct {
+	spec *FaultSpec
 	rng  *sim.Rand
 
-	// Per-adversary counters, split finer than the network's DroppedFault
-	// total so the matrix figure can attribute loss.
-	DropsPartition int64
-	DropsBurst     int64
-	GrayDelays     int64
-	Duplicates     int64
-	Reorders       int64
+	dropsPartition, dropsBurst, grayDelays, duplicates, reorders int64
 }
 
 // NewInjector builds an injector for spec. The seed fixes the full delivery
 // schedule: same (spec, seed, traffic) ⇒ identical drops, delays, copies.
 func NewInjector(spec FaultSpec, seed uint64) *Injector {
-	return &Injector{Spec: spec, rng: sim.NewRand(seed)}
+	return &Injector{Spec: spec, seed: seed}
 }
+
+// source registers the endpoint called name and returns its share. Setup
+// only (SetInjector or AttachOn), never from an event.
+func (i *Injector) source(name string) *injSource {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	s := &injSource{spec: &i.Spec, rng: sim.NewRand(i.seed ^ h.Sum64())}
+	i.sources = append(i.sources, s)
+	return s
+}
+
+func (i *Injector) sum(field func(*injSource) int64) int64 {
+	var n int64
+	for _, s := range i.sources {
+		n += field(s)
+	}
+	return n
+}
+
+// DropsPartition counts messages a partition cut. Like the other counters it
+// sums every source endpoint's share; read it at a window barrier or after
+// the run.
+func (i *Injector) DropsPartition() int64 {
+	return i.sum(func(s *injSource) int64 { return s.dropsPartition })
+}
+
+// DropsBurst counts messages lost in drop bursts.
+func (i *Injector) DropsBurst() int64 { return i.sum(func(s *injSource) int64 { return s.dropsBurst }) }
+
+// GrayDelays counts messages a gray failure slowed.
+func (i *Injector) GrayDelays() int64 { return i.sum(func(s *injSource) int64 { return s.grayDelays }) }
+
+// Duplicates counts messages delivered twice.
+func (i *Injector) Duplicates() int64 { return i.sum(func(s *injSource) int64 { return s.duplicates }) }
+
+// Reorders counts messages held back past the FIFO point.
+func (i *Injector) Reorders() int64 { return i.sum(func(s *injSource) int64 { return s.reorders }) }
 
 // verdict is the injector's judgment on one message.
 type verdict struct {
@@ -170,19 +219,19 @@ func inWindow(t sim.Time, startUS, endUS int) bool {
 	return endUS == 0 || t < sim.Time(endUS)*sim.Time(time.Microsecond)
 }
 
-// judge decides the fate of a message leaving `from` for `to` at time t
-// (its tx-complete instant). Draw order is fixed so the schedule is a pure
-// function of (spec, seed, traffic).
-func (i *Injector) judge(t sim.Time, from, to string) verdict {
+// judge decides the fate of a message leaving `from` (this source) for `to`
+// at time t (its tx-complete instant). Draw order is fixed so the schedule
+// is a pure function of (spec, seed, traffic).
+func (i *injSource) judge(t sim.Time, from, to string) verdict {
 	var v verdict
-	s := &i.Spec
+	s := i.spec
 	for _, p := range s.Partitions {
 		if !inWindow(t, p.StartUS, p.EndUS) {
 			continue
 		}
 		if (prefixMatch(p.From, from) && prefixMatch(p.To, to)) ||
 			(p.Symmetric && prefixMatch(p.From, to) && prefixMatch(p.To, from)) {
-			i.DropsPartition++
+			i.dropsPartition++
 			v.drop = true
 			return v
 		}
@@ -194,7 +243,7 @@ func (i *Injector) judge(t sim.Time, from, to string) verdict {
 		phase := (t - sim.Time(b.StartUS)*sim.Time(time.Microsecond)) %
 			(sim.Time(b.PeriodUS) * sim.Time(time.Microsecond))
 		if phase < sim.Time(b.LenUS)*sim.Time(time.Microsecond) && i.rng.Float64() < b.DropProb {
-			i.DropsBurst++
+			i.dropsBurst++
 			v.drop = true
 			return v
 		}
@@ -209,17 +258,17 @@ func (i *Injector) judge(t sim.Time, from, to string) verdict {
 				prob = 1
 			}
 			if i.rng.Float64() < prob {
-				i.GrayDelays++
+				i.grayDelays++
 				v.extra += time.Duration(i.rng.Exp(float64(g.MeanUS) * float64(time.Microsecond)))
 			}
 		}
 	}
 	if s.ReorderProb > 0 && i.rng.Float64() < s.ReorderProb {
-		i.Reorders++
+		i.reorders++
 		v.reorder = time.Duration(1 + i.rng.Int63n(int64(s.ReorderMaxUS)*int64(time.Microsecond)))
 	}
 	if s.DupProb > 0 && i.rng.Float64() < s.DupProb {
-		i.Duplicates++
+		i.duplicates++
 		v.dup = time.Duration(i.rng.Exp(float64(s.DupDelayUS) * float64(time.Microsecond)))
 		if v.dup <= 0 {
 			v.dup = time.Microsecond

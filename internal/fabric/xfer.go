@@ -112,7 +112,7 @@ func (e *Endpoint) postCross(dst *Endpoint, arrive sim.Time, to string, size int
 
 // deliver runs on the destination partition at arrival time.
 func (env *xferEnv) deliver() {
-	env.dst.deliverCross(env.at, &env.msg)
+	env.dir.net.deliverTo(env.dst, env.at, &env.msg)
 	if env.pooled {
 		// The receiver may still hold references to the clone; the release
 		// hook bound at clone time parks the envelope when the last drops.

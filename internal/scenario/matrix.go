@@ -17,8 +17,8 @@ import (
 )
 
 // builtinFaults returns the named adversary library. Endpoint prefixes
-// assume the matrix deployment (a "gateway" client host and "s<shard>r<replica>"
-// storage nodes, 2 shards × 3 replicas by default); windows assume the
+// assume the matrix deployment (a "gw0" client gateway and
+// "s<shard>r<replica>" storage nodes, 2 shards × 3 replicas by default); windows assume the
 // default load's ~0.6–2 ms span. Every partition heals within the run, so
 // retransmission — not operator surgery — must restore connectivity.
 func builtinFaults() []fabric.FaultSpec {
@@ -40,7 +40,7 @@ func builtinFaults() []fabric.FaultSpec {
 			// flow — the half-open link failure mode.
 			Name: "asym-partition",
 			Partitions: []fabric.PartitionSpec{
-				{From: "gateway", To: "s0r2", StartUS: 150, EndUS: 500},
+				{From: "gw", To: "s0r2", StartUS: 150, EndUS: 500},
 			},
 		},
 		{
@@ -149,6 +149,9 @@ type MatrixSpec struct {
 	// Mutant seeds a known bug class into every cell ("ackbug" or
 	// "resurrect"); the detection check asserts at least one cell fails.
 	Mutant string
+	// Workers is each cell's engine worker count (0 means 1). Rows are
+	// identical at any count.
+	Workers int
 }
 
 // DefaultMatrixSpec returns the full matrix at the CI-sized deployment:
@@ -253,7 +256,8 @@ func (r *CellResult) Verdict() string {
 // RunCell executes one cell: a full cluster crash-point sweep under the
 // cell's adversary and workload.
 func (m *MatrixSpec) RunCell(cell Cell) CellResult {
-	cfg := crashcheck.ClusterConfig{
+	cfg := crashcheck.PartitionedConfig{
+		Workers:          max(m.Workers, 1),
 		Seed:             m.Seed,
 		Points:           m.Points,
 		SecondCrashEvery: m.SecondCrashEvery,
@@ -269,7 +273,7 @@ func (m *MatrixSpec) RunCell(cell Cell) CellResult {
 		f := cell.Fault
 		cfg.Fault = &f
 	}
-	sw := crashcheck.ClusterSweep(cfg)
+	sw := crashcheck.PartitionedSweep(cfg)
 	out := CellResult{
 		Fault:      cell.Fault.Name,
 		Workload:   cell.Workload.String(),

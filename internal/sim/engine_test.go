@@ -301,3 +301,129 @@ func TestEngineCrossStress(t *testing.T) {
 		t.Fatalf("engine crossed = %d, want %d", e.Crossed(), sent)
 	}
 }
+
+// TestEngineRunWindowsExact proves the window budget is exact: stepping an
+// engine in small RunWindows increments must visit exactly the same number
+// of windows as a single Run, with the same final trace. This is what keeps
+// the cluster crash sweep's step-to-window landing exactly on window w.
+func TestEngineRunWindowsExact(t *testing.T) {
+	const nodes, rounds = 4, 30
+	lookahead := Time(nodes * (nodes + 1) * 16)
+	run := func(seed uint64, step int) (string, uint64) {
+		e := NewEngine(time.Duration(lookahead), 2)
+		nds := newTraceNodes(nodes, seed, func(int) *Kernel { return e.NewKernel() })
+		runTraceWorkload(nds, rounds, lookahead, func(src, dst *traceNode, at Time, fn func()) {
+			e.Post(src.k, dst.k, at, fn)
+		})
+		if step == 0 {
+			e.Run()
+			return mergedTrace(t, nds), e.Windows()
+		}
+		total := uint64(0)
+		for {
+			n := e.RunWindows(step)
+			total += uint64(n)
+			if e.Windows() != total {
+				t.Fatalf("seed=%d step=%d: Windows()=%d after %d budgeted windows", seed, step, e.Windows(), total)
+			}
+			if n < step {
+				break
+			}
+		}
+		return mergedTrace(t, nds), total
+	}
+	for _, seed := range []uint64{3, 11} {
+		want, wantWin := run(seed, 0)
+		for _, step := range []int{1, 3, 7} {
+			got, win := run(seed, step)
+			if win != wantWin {
+				t.Fatalf("seed=%d step=%d: stepped run visited %d windows, Run visited %d", seed, step, win, wantWin)
+			}
+			if got != want {
+				t.Fatalf("seed=%d step=%d: stepped trace diverged", seed, step)
+			}
+		}
+	}
+}
+
+// TestEngineSoloKernelSkipsBarrier pins the solo-window fast path: a single
+// busy kernel beside idle ones never enters the worker barrier, and
+// idle-skip accounting covers the idle kernels every window.
+func TestEngineSoloKernelSkipsBarrier(t *testing.T) {
+	e := NewEngine(100*time.Nanosecond, 4)
+	busy := e.NewKernel()
+	e.NewKernel() // idle
+	e.NewKernel() // idle
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < 1000 {
+			busy.Schedule(busy.Now()+37, tick)
+		}
+	}
+	busy.Schedule(0, tick)
+	e.Run()
+	if n != 1000 {
+		t.Fatalf("ran %d ticks, want 1000", n)
+	}
+	if e.Barriers() != 0 {
+		t.Fatalf("solo workload entered %d barriers, want 0", e.Barriers())
+	}
+	if want := e.Windows() * 2; e.IdleSkips() != want {
+		t.Fatalf("idleSkips=%d, want %d (2 idle kernels every window)", e.IdleSkips(), want)
+	}
+}
+
+// TestEngineSoloWindowDeliversInOrder pins delivery out of a run of solo
+// windows: messages one kernel emits while the other is idle must reach the
+// destination in canonical order, none lost.
+func TestEngineSoloWindowDeliversInOrder(t *testing.T) {
+	la := Time(100)
+	e := NewEngine(time.Duration(la), 1)
+	a, b := e.NewKernel(), e.NewKernel()
+	var got []Time
+	// a runs a long solo stretch (b idle), emitting to b mid-stretch.
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n == 5 || n == 9 {
+			at := a.Now() + la
+			e.Post(a, b, at, func() { got = append(got, b.Now()) })
+		}
+		if n < 50 {
+			a.Schedule(a.Now()+13, tick)
+		}
+	}
+	a.Schedule(0, tick)
+	e.Run()
+	if len(got) != 2 || got[0] >= got[1] {
+		t.Fatalf("cross deliveries out of order or lost: %v", got)
+	}
+	if e.Crossed() != 2 {
+		t.Fatalf("crossed=%d, want 2", e.Crossed())
+	}
+}
+
+// TestEngineRunSyncsClocks pins the barrier clock sync: when a run drains
+// with one kernel's clock behind another's, driver work injected afterwards
+// onto the lagging kernel must still land in every kernel's future — a
+// post from it one lookahead ahead must not arrive in the peer's past.
+func TestEngineRunSyncsClocks(t *testing.T) {
+	e := NewEngine(100, 1)
+	a, b := e.NewKernel(), e.NewKernel()
+	a.Schedule(10, func() {})
+	b.Schedule(5000, func() {})
+	e.Run()
+	if a.Now() != b.Now() {
+		t.Fatalf("clocks after Run: a=%v b=%v, want equal", a.Now(), b.Now())
+	}
+	got := Time(-1)
+	a.Schedule(a.Now(), func() {
+		e.PostAfterLookahead(a, b, func() { got = b.Now() })
+	})
+	e.Run()
+	if want := Time(5100); got != want {
+		t.Fatalf("post delivered at %v, want %v", got, want)
+	}
+}
