@@ -7,28 +7,9 @@ import (
 )
 
 // BenchmarkSendDeliver measures one message send plus delivery through the
-// switch model (serialization, propagation, handler dispatch) on the plain
-// allocating path.
-func BenchmarkSendDeliver(b *testing.B) {
-	k := sim.New()
-	n := New(k, DefaultParams(), 1)
-	delivered := 0
-	n.Attach("b", func(at sim.Time, m *Message) { delivered++ })
-	a := n.Attach("a", nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Send(&Message{To: "b", Size: 1024})
-		k.Run()
-	}
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
-	}
-}
-
-// BenchmarkSendDeliverPooled measures the same hop through the pooled
+// switch model (serialization, propagation, handler dispatch) on the pooled
 // envelope path the NIC data plane uses (alloc-free in steady state).
-func BenchmarkSendDeliverPooled(b *testing.B) {
+func BenchmarkSendDeliver(b *testing.B) {
 	k := sim.New()
 	n := New(k, DefaultParams(), 1)
 	delivered := 0

@@ -19,7 +19,7 @@ func pair(p Params) (*sim.Kernel, *Network, *Endpoint, *Endpoint, *[]sim.Time) {
 func TestDeliveryLatency(t *testing.T) {
 	p := DefaultParams()
 	k, _, a, _, arrivals := pair(p)
-	a.Send(&Message{To: "b", Size: 0})
+	a.SendPooled("b", 0, nil, nil)
 	k.Run()
 	if len(*arrivals) != 1 {
 		t.Fatalf("delivered %d", len(*arrivals))
@@ -33,8 +33,8 @@ func TestSerializationAndQueueing(t *testing.T) {
 	p := DefaultParams()
 	k, n, a, _, arrivals := pair(p)
 	// Two 64 KiB messages back to back share the egress link.
-	a.Send(&Message{To: "b", Size: 65536})
-	a.Send(&Message{To: "b", Size: 65536})
+	a.SendPooled("b", 65536, nil, nil)
+	a.SendPooled("b", 65536, nil, nil)
 	k.Run()
 	ser := n.SerializeCost(65536)
 	want1 := sim.Time(0).Add(ser + p.Propagation)
@@ -57,7 +57,7 @@ func TestSerializeCost(t *testing.T) {
 func TestDownEndpointDrops(t *testing.T) {
 	k, n, a, b, arrivals := pair(DefaultParams())
 	b.SetUp(false)
-	a.Send(&Message{To: "b", Size: 10})
+	a.SendPooled("b", 10, nil, nil)
 	k.Run()
 	if len(*arrivals) != 0 {
 		t.Fatal("message delivered to down endpoint")
@@ -66,7 +66,7 @@ func TestDownEndpointDrops(t *testing.T) {
 		t.Fatalf("Dropped = %d", n.Dropped)
 	}
 	b.SetUp(true)
-	a.Send(&Message{To: "b", Size: 10})
+	a.SendPooled("b", 10, nil, nil)
 	k.Run()
 	if len(*arrivals) != 1 {
 		t.Fatal("message not delivered after endpoint came back")
@@ -79,7 +79,7 @@ func TestDropProbability(t *testing.T) {
 	k, n, a, _, arrivals := pair(p)
 	const total = 2000
 	for i := 0; i < total; i++ {
-		a.Send(&Message{To: "b", Size: 1})
+		a.SendPooled("b", 1, nil, nil)
 	}
 	k.Run()
 	got := len(*arrivals)
@@ -101,7 +101,7 @@ func TestBusyQueueingAddsLatency(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			i := i
 			k.After(time.Duration(i)*time.Millisecond, func() {
-				a.Send(&Message{To: "b", Size: 64})
+				a.SendPooled("b", 64, nil, nil)
 			})
 		}
 		k.Run()
@@ -139,7 +139,7 @@ func TestUnknownEndpointPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	a.Send(&Message{To: "nowhere", Size: 1})
+	a.SendPooled("nowhere", 1, nil, nil)
 	k.Run()
 }
 
@@ -164,7 +164,7 @@ func TestRTTEstimate(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	k, n, a, _, _ := pair(DefaultParams())
-	a.Send(&Message{To: "b", Size: 100})
+	a.SendPooled("b", 100, nil, nil)
 	k.Run()
 	if n.BytesSent != 100 || n.Delivered != 1 {
 		t.Fatalf("stats: %d bytes, %d delivered", n.BytesSent, n.Delivered)
@@ -187,7 +187,7 @@ func TestPerPairFIFOProperty(t *testing.T) {
 	for i := 0; i < total; i++ {
 		i := i
 		k.After(time.Duration(i)*100*time.Nanosecond, func() {
-			src.Send(&Message{To: "dst", Size: 32, Payload: i})
+			src.SendPooled("dst", 32, i, nil)
 		})
 	}
 	k.Run()
