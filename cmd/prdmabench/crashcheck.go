@@ -115,15 +115,14 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 }
 
 // clusterCrashcheckMain is the `-crashcheck -cluster` entry point: the
-// window-quiesce crash sweep over the cluster failover/resync path on
-// `workers` engine workers (0 = 1). One replica crashes at every sampled
-// lookahead-window barrier (periodically a second replica of the same shard
-// fails during the first resync); no acknowledged write may be lost and
-// live replicas must converge byte-identically. Window indices are
-// worker-count-stable, so the output — and the minimal repro it prints — is
-// the same at any -simpar. mutant seeds a known bug class the sweep must
-// catch. Exits non-zero on any violation.
-func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize, workers int, mutant string) {
+// window-quiesce crash sweep over the cluster failover/resync path. One
+// replica crashes at every sampled lookahead-window barrier (periodically a
+// second replica of the same shard fails during the first resync); no
+// acknowledged write may be lost and live replicas must converge
+// byte-identically. Window indices are a deterministic coordinate, so the
+// minimal repro it prints replays exactly. mutant seeds a known bug class
+// the sweep must catch. Exits non-zero on any violation.
+func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize int, mutant string) {
 	start := time.Now()
 	cfg := crashcheck.DefaultPartitionedConfig(seed)
 	if points > 0 {
@@ -138,7 +137,6 @@ func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize, worker
 	if objSize > 0 {
 		cfg.ObjSize = objSize
 	}
-	cfg.Workers = max(workers, 1)
 	cfg.Mutant = mutant
 	res := crashcheck.PartitionedSweep(cfg)
 	fmt.Printf("cluster %dx%d seed=%-4d points=%-4d windows=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",

@@ -15,25 +15,22 @@
 //	prdmabench -crashcheck -family WFlush -points 50 -torn 10   # short smoke sweep
 //	prdmabench -crashcheck -ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
 //	prdmabench -cluster            # sharded replicated KV: failover figure (4 shards x 3 replicas)
-//	prdmabench -cluster -shards 8 -replicas 5 -scale full -simpar 4   # bigger deployment, 4 engine workers
+//	prdmabench -cluster -shards 8 -replicas 5 -scale full   # bigger deployment
 //	prdmabench -crashcheck -cluster -points 20   # window-barrier crash sweep over the cluster failover/resync path
 //	prdmabench -crashcheck -cluster -mutant ackbug   # cluster mutant-detection check (expect exit 1)
 //	prdmabench -matrix             # adversarial fault x YCSB A-F matrix, crashcheck asserted per cell
 //	prdmabench -matrix -faults partition,gray -workloads AB -points 6   # reduced cell set
 //	prdmabench -matrix -mutant ackbug   # mutant-detection check: expect exit 1
-//	prdmabench -parscale           # parallel-kernel scaling ladder + 1M-client open-loop smoke
-//	prdmabench -parscale -simpar 4 -logclients 1000000 -json BENCH_PR7.json
+//	prdmabench -parscale           # partitioned-engine scaling run + 1M-client open-loop smoke
+//	prdmabench -parscale -logclients 1000000 -json BENCH_PR9.json
 //	prdmabench -pmpool             # remote PM pool: alloc grid + disaggregated shuffle figures
 //	prdmabench -crashcheck -pmpool -points 60 -torn 12   # pool crash-point sweep (alloc/free/write invariants)
 //	prdmabench -crashcheck -pmpool -mutant leak   # seeded leak bug: the sweep must catch it (exit 1)
 //
-// -simpar selects the engine worker count of the cluster drivers (-cluster,
-// -matrix, -crashcheck -cluster; 0 means 1) and the -parscale smoke (0 means
-// 4). Their output is byte-identical at any setting: the cluster crash sweep lands
-// its crashes at lookahead-window barriers, whose indices are
-// worker-count-stable, so a minimal repro replays at -simpar 1. The
-// single-host figure drivers run one serial kernel and accept -simpar as a
-// no-op so harnesses can pass it uniformly.
+// The cluster drivers (-cluster, -matrix, -crashcheck -cluster, -parscale)
+// run one partitioned deployment on the multi-kernel engine, which steps
+// every window on one goroutine. The cluster crash sweep lands its crashes
+// at lookahead-window barriers, so a minimal repro replays exactly.
 //
 // Experiment cells are independent deployments, so drivers fan them across
 // a worker pool (-parallel). Output is byte-identical at any setting; only
@@ -95,8 +92,7 @@ func main() {
 	clusterRun := flag.Bool("cluster", false, "run the sharded replicated-KV failover figure (or, with -crashcheck, the cluster crash-point sweep)")
 	shards := flag.Int("shards", 4, "cluster: number of shard groups")
 	replicas := flag.Int("replicas", 3, "cluster: replication factor per shard")
-	simpar := flag.Int("simpar", 0, "engine workers for the cluster drivers (-cluster, -matrix, -crashcheck -cluster; 0 = 1) and the -parscale smoke (0 = 4); output is identical at any count")
-	parscale := flag.Bool("parscale", false, "run the parallel-kernel scaling ladder (workers 1/2/4/8 over the 8-shard partitioned cluster) plus the open-loop population smoke; write BENCH_PR7-style JSON with -json")
+	parscale := flag.Bool("parscale", false, "run the 8-shard partitioned cluster once on the engine (events/sec, switches/event, coordination counters) plus the open-loop population smoke; write BENCH_PR9-style JSON with -json")
 	logclients := flag.Int("logclients", 1_000_000, "parscale: logical client population for the open-loop smoke")
 	matrixRun := flag.Bool("matrix", false, "run the adversarial fault x YCSB workload matrix (cluster crash-point sweep per cell)")
 	faults := flag.String("faults", "", "matrix: comma-separated adversary names (default: every builtin; see -matrix -faults help)")
@@ -132,7 +128,6 @@ func main() {
 			workloads: *workloads,
 			mutant:    *mutant,
 			parallel:  *parallel,
-			simpar:    *simpar,
 			jsonOut:   *jsonOut,
 		}
 		if pointsSet {
@@ -175,7 +170,7 @@ func main() {
 		if pointsSet {
 			pts = *points
 		}
-		clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *simpar, *mutant)
+		clusterCrashcheckMain(int64(*seed), pts, *shards, *replicas, *objsize, *mutant)
 		if *memprofile != "" {
 			if err := writeHeapProfile(*memprofile); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -224,7 +219,7 @@ func main() {
 	o.Parallel = *parallel
 
 	if *parscale {
-		parscaleMain(o, *scale, *simpar, *logclients, *jsonOut, *csv)
+		parscaleMain(o, *scale, *logclients, *jsonOut, *csv)
 		if *memprofile != "" {
 			if err := writeHeapProfile(*memprofile); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -289,7 +284,7 @@ func main() {
 		ran = true
 	}
 	if *clusterRun {
-		run("cluster", func() []bench.Table { return o.ClusterFigures(*shards, *replicas, *simpar) })
+		run("cluster", func() []bench.Table { return o.ClusterFigures(*shards, *replicas) })
 		ran = true
 	}
 	if *fig != 0 {

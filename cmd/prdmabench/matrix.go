@@ -28,10 +28,7 @@ type matrixOptions struct {
 	// expected to exit non-zero (the detection check).
 	mutant   string
 	parallel int
-	// simpar is each cell's engine worker count (0 = 1); rows are
-	// identical at any count.
-	simpar  int
-	jsonOut string
+	jsonOut  string
 }
 
 // buildMatrix resolves the options into a validated MatrixSpec.
@@ -64,7 +61,6 @@ func buildMatrix(o matrixOptions) (scenario.MatrixSpec, error) {
 		m.Workloads = ws
 	}
 	m.Mutant = o.mutant
-	m.Workers = o.simpar
 	return m, m.Validate()
 }
 

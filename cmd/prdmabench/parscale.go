@@ -9,24 +9,20 @@ import (
 	"prdma/internal/bench"
 )
 
-// parscaleReport is the BENCH_PR7.json document: the parallel-kernel scaling
-// ladder plus the open-loop population smoke, with the determinism verdict
-// the CI diff job gates on.
+// parscaleReport is the BENCH_PR9.json document: the partitioned-engine
+// scaling run plus the open-loop population smoke.
 type parscaleReport struct {
-	Scale         string             `json:"scale"`
-	GoMaxProcs    int                `json:"gomaxprocs"`
-	Scaling       *bench.ScaleResult `json:"scaling"`
-	Smoke         *bench.SmokeResult `json:"smoke"`
-	Deterministic bool               `json:"deterministic"`
-	SpeedupAt4    float64            `json:"speedup_at_4_workers"`
+	Scale      string             `json:"scale"`
+	GoMaxProcs int                `json:"gomaxprocs"`
+	Scaling    *bench.ScaleResult `json:"scaling"`
+	Smoke      *bench.SmokeResult `json:"smoke"`
 }
 
-// parscaleMain runs the PR 7 drivers: the worker ladder over the fixed
-// 8-shard partitioned cluster, then the large-population open-loop smoke.
-// Exit is nonzero if any rung's fingerprint diverges or a smoke invariant
-// fails — wall-clock speedup is reported, never asserted, because it is a
-// property of the machine (GOMAXPROCS), not of the simulation.
-func parscaleMain(o bench.Options, scale string, simpar, logclients int, jsonOut string, csv bool) {
+// parscaleMain runs the 8-shard partitioned cluster once on the engine, then
+// the large-population open-loop smoke. Exit is nonzero if the run fails or
+// a smoke invariant fails; the fingerprint is printed for callers to diff
+// against a recorded one.
+func parscaleMain(o bench.Options, scale string, logclients int, jsonOut string, csv bool) {
 	emit := func(t bench.Table) {
 		if csv {
 			fmt.Printf("# %s\n", t.Title)
@@ -40,18 +36,14 @@ func parscaleMain(o bench.Options, scale string, simpar, logclients int, jsonOut
 		}
 	}
 
-	sr, err := o.ParallelScale([]int{1, 2, 4, 8})
+	sr, err := o.ParallelScale()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	emit(sr.Table())
 
-	smokeWorkers := simpar
-	if smokeWorkers <= 0 {
-		smokeWorkers = 4
-	}
-	sm, err := o.MillionClientSmoke(smokeWorkers, logclients)
+	sm, err := o.MillionClientSmoke(logclients)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -59,16 +51,10 @@ func parscaleMain(o bench.Options, scale string, simpar, logclients int, jsonOut
 	emit(sm.Table())
 
 	rep := parscaleReport{
-		Scale:         scale,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Scaling:       sr,
-		Smoke:         sm,
-		Deterministic: sr.Deterministic,
-	}
-	for _, p := range sr.Points {
-		if p.Workers == 4 {
-			rep.SpeedupAt4 = p.Speedup
-		}
+		Scale:      scale,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Scaling:    sr,
+		Smoke:      sm,
 	}
 	if jsonOut != "" {
 		b, err := json.MarshalIndent(rep, "", "  ")
@@ -80,10 +66,6 @@ func parscaleMain(o bench.Options, scale string, simpar, logclients int, jsonOut
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-	if !sr.Deterministic {
-		fmt.Fprintln(os.Stderr, "parscale: FINGERPRINT DIVERGENCE across worker counts")
-		os.Exit(1)
 	}
 	if !sm.OK {
 		fmt.Fprintln(os.Stderr, "parscale: smoke invariants failed")

@@ -10,15 +10,14 @@ import (
 )
 
 // ClusterFigures drives the sharded, replicated durable-KV cluster
-// (internal/cluster) under zipfian load on workers engine workers (0 means
-// 1), crashes shard 0's primary once a fifth of the traffic has completed,
-// and reports the client-visible impact — latency and throughput before,
-// during, and after failover — alongside the per-shard balance and the
-// failover controller's internal work. Zero acknowledged-write loss is
-// asserted byte-for-byte against every live replica after the run. The
-// tables are identical at any worker count.
-func (o Options) ClusterFigures(shards, replicas, workers int) []Table {
-	f := o.clusterFigRun(shards, replicas, workers)
+// (internal/cluster) under zipfian load, crashes shard 0's primary once a
+// fifth of the traffic has completed, and reports the client-visible impact
+// — latency and throughput before, during, and after failover — alongside
+// the per-shard balance and the failover controller's internal work. Zero
+// acknowledged-write loss is asserted byte-for-byte against every live
+// replica after the run.
+func (o Options) ClusterFigures(shards, replicas int) []Table {
+	f := o.clusterFigRun(shards, replicas)
 	return []Table{f.phaseTable(), f.shardTable(), f.controlTable()}
 }
 
@@ -33,7 +32,7 @@ type clusterFig struct {
 	consistency  error
 }
 
-func (o Options) clusterFigRun(shards, replicas, workers int) *clusterFig {
+func (o Options) clusterFigRun(shards, replicas int) *clusterFig {
 	p := kv.DefaultParams()
 	p.Shards, p.Replicas = shards, replicas
 	p.Gateways = 1
@@ -53,7 +52,7 @@ func (o Options) clusterFigRun(shards, replicas, workers int) *clusterFig {
 	if f.clients > 20000 {
 		f.clients = 20000
 	}
-	c, err := kv.NewPartitioned(max(workers, 1), p)
+	c, err := kv.NewPartitioned(1, p)
 	if err != nil {
 		panic(err)
 	}

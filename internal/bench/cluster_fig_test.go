@@ -9,7 +9,7 @@ import (
 // three phases must collect samples, no acknowledged write may be lost, and
 // the victim must be readmitted.
 func TestClusterFigures(t *testing.T) {
-	f := Quick().clusterFigRun(4, 3, 2)
+	f := Quick().clusterFigRun(4, 3)
 	tabs := []Table{f.phaseTable(), f.shardTable(), f.controlTable()}
 	if len(tabs) != 3 {
 		t.Fatalf("want 3 tables, got %d", len(tabs))
@@ -39,23 +39,20 @@ func TestClusterFigures(t *testing.T) {
 }
 
 // TestClusterFiguresDeterministic renders the full figure set at a fixed
-// seed twice at one worker and once at four, and requires byte-identical
-// output — the acceptance bar for the -cluster driver.
+// seed twice and requires byte-identical output — the acceptance bar for the
+// -cluster driver.
 func TestClusterFiguresDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cluster runs are seconds-long")
 	}
-	render := func(workers int) string {
+	render := func() string {
 		var b strings.Builder
-		for _, tab := range Quick().ClusterFigures(4, 3, workers) {
+		for _, tab := range Quick().ClusterFigures(4, 3) {
 			tab.Fprint(&b)
 		}
 		return b.String()
 	}
-	a := render(1)
-	for _, workers := range []int{1, 4} {
-		if bb := render(workers); a != bb {
-			t.Fatalf("cluster figure output at workers=%d differs from workers=1:\n--- a ---\n%s\n--- b ---\n%s", workers, a, bb)
-		}
+	if a, bb := render(), render(); a != bb {
+		t.Fatalf("cluster figure output differs between two runs:\n--- a ---\n%s\n--- b ---\n%s", a, bb)
 	}
 }

@@ -8,44 +8,34 @@ import (
 	kv "prdma/internal/cluster"
 )
 
-// This file is the PR 7 parallel-kernel scaling driver: it runs the
-// partitioned KV cluster at a ladder of worker counts, checks that every
-// rung produces the identical simulation (the engine's determinism
-// contract), and reports wall time, events/second and speedup versus one
-// worker. Worker threads are pure execution resources — the partitioning is
-// fixed by the topology — so any fingerprint divergence is a bug, not a
-// tuning artifact.
+// This file is the partitioned-engine scaling driver: it runs the
+// partitioned KV cluster on the 12-kernel engine and reports wall time,
+// events per second, proc switches per event and the engine's coordination
+// counters, plus a large-population open-loop smoke.
 
-// ScalePoint is one rung of the worker ladder.
-type ScalePoint struct {
-	Workers      int     `json:"workers"`
+// ScaleResult is one run of the scaling figure's fixed topology.
+type ScaleResult struct {
+	Shards       int     `json:"shards"`
+	Replicas     int     `json:"replicas"`
+	Gateways     int     `json:"gateways"`
+	Partitions   int     `json:"partitions"`
+	Clients      int     `json:"clients"`
+	Ops          int     `json:"ops"`
+	MaxProcs     int     `json:"maxprocs"`
 	WallMS       float64 `json:"wall_ms"`
 	Events       uint64  `json:"events"`
+	Switches     uint64  `json:"switches"`
 	Crossed      uint64  `json:"crossed"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup"`
 	Fingerprint  string  `json:"fingerprint"`
-	// Coordination counters (deterministic at any worker count): total
-	// conservative windows, idle kernel dispatches skipped, windows that
-	// entered the worker barrier, and the cross-transfer slab hit rate
-	// (percent of crossings served from a pooled envelope).
+	// Coordination counters: total conservative windows, idle kernel
+	// dispatches skipped, windows with more than one active kernel, and the
+	// cross-transfer slab hit rate (percent of crossings served from a
+	// pooled envelope).
 	Windows    uint64  `json:"windows"`
 	IdleSkips  uint64  `json:"idle_skips"`
 	Barriers   uint64  `json:"barriers"`
 	SlabHitPct float64 `json:"slab_hit_pct"`
-}
-
-// ScaleResult is the scaling figure plus its determinism verdict.
-type ScaleResult struct {
-	Shards        int          `json:"shards"`
-	Replicas      int          `json:"replicas"`
-	Gateways      int          `json:"gateways"`
-	Partitions    int          `json:"partitions"`
-	Clients       int          `json:"clients"`
-	Ops           int          `json:"ops"`
-	MaxProcs      int          `json:"maxprocs"`
-	Points        []ScalePoint `json:"points"`
-	Deterministic bool         `json:"deterministic"`
 }
 
 // scaleParams is the fixed 8-shard topology of the scaling figure.
@@ -61,106 +51,88 @@ func scaleParams(o Options) kv.Params {
 	return p
 }
 
-// ParallelScale runs the scaling ladder. Every rung replays the same
-// workload on a fresh deployment; only the worker count changes.
-func (o Options) ParallelScale(workerCounts []int) (*ScaleResult, error) {
+// ParallelScale runs the scaling workload once on a fresh deployment: 16
+// closed-loop clients, 50/50 verified reads and writes, consistency checked
+// afterwards.
+func (o Options) ParallelScale() (*ScaleResult, error) {
 	p := scaleParams(o)
 	load := kv.Load{Clients: 16, Ops: o.Ops, ReadFrac: 0.5, Verify: true, Seed: o.Seed}
+	c, err := kv.NewPartitioned(1, p)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	lr, err := c.RunLoad(load)
+	wall := time.Since(start)
+	if err != nil {
+		c.Eng.Shutdown()
+		return nil, err
+	}
+	if lr.Errors != 0 || lr.BadReads != 0 {
+		c.Eng.Shutdown()
+		return nil, fmt.Errorf("bench: scale: errors=%d badReads=%d", lr.Errors, lr.BadReads)
+	}
+	cerr := c.CheckConsistency()
+	windows, _, idleSkips, barriers, slabHits, slabMisses := c.CoordStats()
+	switches := c.Eng.Switches()
+	// Reap the deployment: its parked-proc set otherwise survives the run
+	// (~100 MB per deployment).
+	c.Eng.Shutdown()
+	if cerr != nil {
+		return nil, fmt.Errorf("bench: scale: %w", cerr)
+	}
 	res := &ScaleResult{
 		Shards: p.Shards, Replicas: p.Replicas, Gateways: p.Gateways,
-		Partitions: p.Gateways + p.Shards,
-		Clients:    load.Clients, Ops: load.Ops,
-		MaxProcs:      runtime.GOMAXPROCS(0),
-		Deterministic: true,
+		Partitions:  p.Gateways + p.Shards,
+		Clients:     load.Clients,
+		Ops:         load.Ops,
+		MaxProcs:    runtime.GOMAXPROCS(0),
+		WallMS:      float64(wall.Microseconds()) / 1e3,
+		Events:      c.Eng.Fired(),
+		Switches:    switches,
+		Crossed:     c.Eng.Crossed(),
+		Fingerprint: fmt.Sprintf("%016x", lr.Fingerprint()),
+		Windows:     windows,
+		IdleSkips:   idleSkips,
+		Barriers:    barriers,
 	}
-	for _, w := range workerCounts {
-		c, err := kv.NewPartitioned(w, p)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		lr, err := c.RunLoad(load)
-		wall := time.Since(start)
-		if err != nil {
-			c.Eng.Shutdown()
-			return nil, err
-		}
-		if lr.Errors != 0 || lr.BadReads != 0 {
-			c.Eng.Shutdown()
-			return nil, fmt.Errorf("bench: scale workers=%d: errors=%d badReads=%d", w, lr.Errors, lr.BadReads)
-		}
-		cerr := c.CheckConsistency()
-		windows, _, idleSkips, barriers, slabHits, slabMisses := c.CoordStats()
-		// Reap the rung's deployment before the next one: each parked-proc
-		// set otherwise survives the ladder (~100 MB per deployment).
-		c.Eng.Shutdown()
-		if cerr != nil {
-			return nil, fmt.Errorf("bench: scale workers=%d: %w", w, cerr)
-		}
-		pt := ScalePoint{
-			Workers:     w,
-			WallMS:      float64(wall.Microseconds()) / 1e3,
-			Events:      c.Eng.Fired(),
-			Crossed:     c.Eng.Crossed(),
-			Fingerprint: fmt.Sprintf("%016x", lr.Fingerprint()),
-			Windows:     windows,
-			IdleSkips:   idleSkips,
-			Barriers:    barriers,
-		}
-		if total := slabHits + slabMisses; total > 0 {
-			pt.SlabHitPct = 100 * float64(slabHits) / float64(total)
-		}
-		if wall > 0 {
-			pt.EventsPerSec = float64(pt.Events) / wall.Seconds()
-		}
-		if len(res.Points) > 0 {
-			base := res.Points[0]
-			if pt.WallMS > 0 {
-				pt.Speedup = base.WallMS / pt.WallMS
-			}
-			if pt.Fingerprint != base.Fingerprint || pt.Events != base.Events ||
-				pt.Windows != base.Windows || pt.IdleSkips != base.IdleSkips || pt.Barriers != base.Barriers {
-				res.Deterministic = false
-			}
-		} else {
-			pt.Speedup = 1
-		}
-		res.Points = append(res.Points, pt)
+	if total := slabHits + slabMisses; total > 0 {
+		res.SlabHitPct = 100 * float64(slabHits) / float64(total)
+	}
+	if wall > 0 {
+		res.EventsPerSec = float64(res.Events) / wall.Seconds()
 	}
 	return res, nil
 }
 
 // Table renders the scaling figure.
 func (r *ScaleResult) Table() Table {
-	t := Table{
-		Title: fmt.Sprintf("parallel kernel scaling (%d shards x %d replicas, %d gateways, %d partitions, GOMAXPROCS=%d)",
+	var perEvent float64
+	if r.Events > 0 {
+		perEvent = float64(r.Switches) / float64(r.Events)
+	}
+	return Table{
+		Title: fmt.Sprintf("partitioned engine scaling (%d shards x %d replicas, %d gateways, %d partitions, GOMAXPROCS=%d)",
 			r.Shards, r.Replicas, r.Gateways, r.Partitions, r.MaxProcs),
-		Header: []string{"workers", "wall_ms", "events", "crossed", "events/sec", "speedup", "windows", "skips", "barriers", "slab%", "fingerprint"},
-		Notes: "identical fingerprints across workers = the determinism contract holds; " +
-			"speedup needs real cores (GOMAXPROCS>1) to materialize; " +
-			"skips/barriers/slab are worker-count-invariant coordination counters",
+		Header: []string{"wall_ms", "events", "crossed", "events/sec", "switches/event", "windows", "skips", "barriers", "slab%", "fingerprint"},
+		Rows: [][]string{{
+			fmt.Sprintf("%.2f", r.WallMS),
+			fmt.Sprintf("%d", r.Events),
+			fmt.Sprintf("%d", r.Crossed),
+			fmt.Sprintf("%.0f", r.EventsPerSec),
+			fmt.Sprintf("%.3f", perEvent),
+			fmt.Sprintf("%d", r.Windows),
+			fmt.Sprintf("%d", r.IdleSkips),
+			fmt.Sprintf("%d", r.Barriers),
+			fmt.Sprintf("%.1f", r.SlabHitPct),
+			r.Fingerprint,
+		}},
+		Notes: "one engine goroutine; the fingerprint and every count but wall_ms and events/sec are a function of the seed",
 	}
-	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Workers),
-			fmt.Sprintf("%.2f", p.WallMS),
-			fmt.Sprintf("%d", p.Events),
-			fmt.Sprintf("%d", p.Crossed),
-			fmt.Sprintf("%.0f", p.EventsPerSec),
-			fmt.Sprintf("%.2fx", p.Speedup),
-			fmt.Sprintf("%d", p.Windows),
-			fmt.Sprintf("%d", p.IdleSkips),
-			fmt.Sprintf("%d", p.Barriers),
-			fmt.Sprintf("%.1f", p.SlabHitPct),
-			p.Fingerprint,
-		})
-	}
-	return t
 }
 
 // SmokeResult is the large-population open-loop smoke run.
 type SmokeResult struct {
-	Workers         int     `json:"workers"`
 	LogicalClients  int     `json:"logical_clients"`
 	DistinctClients int     `json:"distinct_clients"`
 	Ops             int     `json:"ops"`
@@ -180,7 +152,7 @@ type SmokeResult struct {
 // and asserts the stats invariants: every arrival completes, no errors, the
 // arrival queues stay bounded by the horizon, and memory stays flat because
 // the population is modelled by attribution, not by a million procs.
-func (o Options) MillionClientSmoke(workers, logicalClients int) (*SmokeResult, error) {
+func (o Options) MillionClientSmoke(logicalClients int) (*SmokeResult, error) {
 	if logicalClients <= 0 {
 		logicalClients = 1_000_000
 	}
@@ -190,7 +162,7 @@ func (o Options) MillionClientSmoke(workers, logicalClients int) (*SmokeResult, 
 		OpenLoop: true, Rate: 2e6, LogicalClients: logicalClients,
 		Seed: o.Seed,
 	}
-	c, err := kv.NewPartitioned(workers, p)
+	c, err := kv.NewPartitioned(1, p)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +181,6 @@ func (o Options) MillionClientSmoke(workers, logicalClients int) (*SmokeResult, 
 	runtime.GC() // report retained heap, not accumulated garbage
 	runtime.ReadMemStats(&ms)
 	res := &SmokeResult{
-		Workers:         workers,
 		LogicalClients:  logicalClients,
 		DistinctClients: lr.DistinctClients,
 		Ops:             load.Ops,
@@ -238,7 +209,7 @@ func (r *SmokeResult) Table() Table {
 		status = "ok"
 	}
 	return Table{
-		Title:  fmt.Sprintf("open-loop population smoke (%d logical clients, workers=%d)", r.LogicalClients, r.Workers),
+		Title:  fmt.Sprintf("open-loop population smoke (%d logical clients)", r.LogicalClients),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"arrivals completed", fmt.Sprintf("%d/%d", r.Completed, r.Ops)},
@@ -252,6 +223,6 @@ func (r *SmokeResult) Table() Table {
 			{"invariants", status},
 		},
 		Notes: "population is modelled by arrival attribution (Poisson superposition); " +
-			"memory scales with workers and keyspace, not population",
+			"memory scales with service workers and keyspace, not population",
 	}
 }

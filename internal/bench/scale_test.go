@@ -5,39 +5,30 @@ import (
 	"testing"
 )
 
-// TestParallelScaleDeterminism runs a reduced worker ladder — 1/2/4/8, with
-// the pooled cross-transfer slabs active — and checks the
-// driver's own verdict plus the per-rung invariants: same events, same
-// fingerprint, same coordination counters, consistency clean (ParallelScale
-// errors otherwise).
+// TestParallelScaleDeterminism runs the scaling workload twice, with the
+// pooled cross-transfer slabs active, and checks the run is reproducible —
+// same events, switches, fingerprint and coordination counters — and
+// non-degenerate; ParallelScale itself errors on an inconsistent cluster.
 func TestParallelScaleDeterminism(t *testing.T) {
 	o := tiny()
 	o.Ops = 400
-	sr, err := o.ParallelScale([]int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
+	run := func() *ScaleResult {
+		sr, err := o.ParallelScale()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	if !sr.Deterministic {
-		t.Fatalf("worker ladder diverged: %+v", sr.Points)
+	a, b := run(), run()
+	if a.Events == 0 || a.Crossed == 0 || a.Windows == 0 || a.Switches == 0 {
+		t.Fatalf("degenerate counters %+v", a)
 	}
-	if len(sr.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(sr.Points))
+	if a.Fingerprint != b.Fingerprint || a.Events != b.Events || a.Switches != b.Switches ||
+		a.Windows != b.Windows || a.Barriers != b.Barriers || a.IdleSkips != b.IdleSkips {
+		t.Fatalf("two runs diverged:\n%+v\n%+v", a, b)
 	}
-	for _, p := range sr.Points {
-		if p.Events == 0 || p.Crossed == 0 || p.Windows == 0 {
-			t.Fatalf("workers=%d: degenerate counters %+v", p.Workers, p)
-		}
-		if p.Fingerprint != sr.Points[0].Fingerprint {
-			t.Fatalf("workers=%d: fingerprint mismatch", p.Workers)
-		}
-		if p.Windows != sr.Points[0].Windows || p.Barriers != sr.Points[0].Barriers ||
-			p.IdleSkips != sr.Points[0].IdleSkips {
-			t.Fatalf("workers=%d: coordination counters not worker-invariant: %+v vs %+v",
-				p.Workers, p, sr.Points[0])
-		}
-		if p.SlabHitPct < 50 {
-			t.Fatalf("workers=%d: cross-transfer slab hit rate %.1f%% — pooling not engaging", p.Workers, p.SlabHitPct)
-		}
+	if a.SlabHitPct < 50 {
+		t.Fatalf("cross-transfer slab hit rate %.1f%% — pooling not engaging", a.SlabHitPct)
 	}
 }
 
@@ -46,7 +37,7 @@ func TestParallelScaleDeterminism(t *testing.T) {
 func TestMillionClientSmokeReduced(t *testing.T) {
 	o := tiny()
 	o.Ops = 300
-	a, err := o.MillionClientSmoke(2, 50_000)
+	a, err := o.MillionClientSmoke(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +47,18 @@ func TestMillionClientSmokeReduced(t *testing.T) {
 	if a.Completed != o.Ops || a.Errors != 0 {
 		t.Fatalf("completed=%d errors=%d", a.Completed, a.Errors)
 	}
-	b, err := o.MillionClientSmoke(4, 50_000)
+	b, err := o.MillionClientSmoke(50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Fingerprint != a.Fingerprint {
-		t.Fatalf("smoke fingerprint diverged across workers: %s vs %s", a.Fingerprint, b.Fingerprint)
+		t.Fatalf("smoke fingerprint diverged between two runs: %s vs %s", a.Fingerprint, b.Fingerprint)
 	}
 }
 
 // TestPartitionedShutdownReleasesHeap is the cross-transfer counterpart of
-// TestDeploymentShutdownReleasesHeap: the partitioned ladder exercises the
-// engine outboxes and the fabric's pooled transfer slabs, both of which
+// TestDeploymentShutdownReleasesHeap: the partitioned scaling run exercises
+// the engine outboxes and the fabric's pooled transfer slabs, both of which
 // buffer delivered messages and their completion closures. Engine.Shutdown
 // must drop those references (and flush must zero delivered entries) or
 // every retired deployment pins its last windows' payloads and closures.
@@ -81,16 +72,16 @@ func TestPartitionedShutdownReleasesHeap(t *testing.T) {
 	}
 	o := tiny()
 	o.Ops = 200
-	ladder := func() {
-		if _, err := o.ParallelScale([]int{2}); err != nil {
+	deploy := func() {
+		if _, err := o.ParallelScale(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ladder() // warm-up: pools and lazily built tables
+	deploy() // warm-up: pools and lazily built tables
 	before := heap()
 	const repeats = 4
 	for i := 0; i < repeats; i++ {
-		ladder()
+		deploy()
 	}
 	after := heap()
 	growth := int64(after) - int64(before)
@@ -119,13 +110,13 @@ func TestDeploymentShutdownReleasesHeap(t *testing.T) {
 	o.Ops = 200
 	// Warm-up establishes the steady-state baseline (pools, lazily built
 	// tables) so the delta below measures per-deployment retention only.
-	if _, err := o.MillionClientSmoke(2, 10_000); err != nil {
+	if _, err := o.MillionClientSmoke(10_000); err != nil {
 		t.Fatal(err)
 	}
 	before := heap()
 	const repeats = 4
 	for i := 0; i < repeats; i++ {
-		if _, err := o.MillionClientSmoke(2, 10_000); err != nil {
+		if _, err := o.MillionClientSmoke(10_000); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -19,10 +19,9 @@ import (
 )
 
 // This file is the cluster deployment: the sharded, replicated durable KV
-// spread over the kernels of one sim.Engine, so independent partitions can
-// execute on parallel workers. Every driver — the failover figure, the
-// cluster scenarios, the fault matrix and the crash sweep — runs on it, and
-// its output is byte-identical at any worker count.
+// spread over the kernels of one sim.Engine. Every driver — the failover
+// figure, the cluster scenarios, the fault matrix and the crash sweep — runs
+// on it.
 //
 // Partition layout: gateway g is engine kernel g, shard group s (all of its
 // replicas) is kernel Gateways+s. Every client↔replica connection crosses a
@@ -122,20 +121,22 @@ type PCluster struct {
 
 // CoordStats reports the deployment's window-coordination counters: how
 // many conservative windows ran, how many idle kernel dispatches were
-// skipped, how many windows actually entered the worker barrier, and the
+// skipped, how many windows had more than one active kernel, and the
 // cross-transfer slab hit rate. fused is always 0: the engine no longer
 // fuses windows, and the result stays so existing readers keep compiling.
-// All values are deterministic at any worker count; read them after the
-// load completes, before Shutdown.
+// All values are deterministic; read them after the load completes, before
+// Shutdown.
 func (c *PCluster) CoordStats() (windows, fused, idleSkips, barriers uint64, slabHits, slabMisses int64) {
 	slabHits, slabMisses = c.Net.XferSlabStats()
 	return c.Eng.Windows(), 0, c.Eng.IdleSkips(), c.Eng.Barriers(), slabHits, slabMisses
 }
 
-// NewPartitioned builds the partitioned cluster on a fresh engine with the
-// given worker count. The engine's lookahead is the fabric's one-way
-// propagation delay — the minimum cross-partition latency, so no message can
-// ever need delivery inside the current window.
+// NewPartitioned builds the partitioned cluster on a fresh engine. The
+// engine's lookahead is the fabric's one-way propagation delay — the minimum
+// cross-partition latency, so no message can ever need delivery inside the
+// current window. The engine runs every window on the calling goroutine, so
+// the workers count is ignored; it stays in the signature for existing
+// callers.
 func NewPartitioned(workers int, p Params) (*PCluster, error) {
 	if p.Shards <= 0 || p.Replicas <= 0 || p.PoolSize <= 0 {
 		return nil, errors.New("cluster: Shards, Replicas, PoolSize must be positive")
@@ -147,7 +148,7 @@ func NewPartitioned(workers int, p Params) (*PCluster, error) {
 		return nil, fmt.Errorf("cluster: partitioned deployment needs a durable RPC family (engine mode), not %v", p.Kind)
 	}
 	c := &PCluster{
-		Eng:  sim.NewEngine(p.Net.Lookahead(), workers),
+		Eng:  sim.NewEngine(p.Net.Lookahead()),
 		P:    p,
 		Ring: NewRing(p.Shards, p.VNodes, p.Seed),
 	}
@@ -556,8 +557,7 @@ func (c *PCluster) CheckConsistency() error {
 }
 
 // PLoadResult aggregates a partitioned load run. Everything in it is a pure
-// function of the simulation, so Fingerprint is comparable across worker
-// counts.
+// function of the simulation, so Fingerprint is comparable across runs.
 type PLoadResult struct {
 	Samples  []Sample
 	End      sim.Time

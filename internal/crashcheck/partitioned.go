@@ -1,11 +1,11 @@
 // Cluster mode: the crash-point sweep applied to the sharded, replicated
-// deployment (internal/cluster) on the parallel engine. The single-server
-// sweep's crash coordinate — "after event i" — does not exist under
-// parallel execution: worker threads interleave events inside a window, so
-// no global event index is stable. Window barriers are: every boundary is a
-// global quiesce point (no kernel mid-event, every delivered cross message
-// queued), and with identical inputs the i-th window covers the same events
-// in every run at any worker count. So the sweep crashes "at window w",
+// deployment (internal/cluster) on the multi-kernel engine. The
+// single-server sweep's crash coordinate — "after event i" — is not a safe
+// injection point there: a kernel may stop mid-window while its peers have
+// already run ahead to the window edge. Window barriers are: every boundary
+// is a global quiesce point (no kernel mid-event, every delivered cross
+// message queued), and with identical inputs the i-th window covers the
+// same events in every run. So the sweep crashes "at window w",
 // replaying the same workload per point and injecting the crash at that
 // barrier inside a serialized engine span. The driver holds the Serialize
 // token — and with it the single-kernel-equivalent global event order the
@@ -28,8 +28,7 @@
 //  5. Ack contract: a rejoining replica's redo-log replay restores every
 //     version it durably acknowledged, before any catch-up image ships.
 //
-// A violation's minimal repro is its (seed, window) pair, at any worker
-// count.
+// A violation's minimal repro is its (seed, window) pair.
 package crashcheck
 
 import (
@@ -62,10 +61,6 @@ type PartitionedConfig struct {
 	Shards, Replicas int
 	// ObjSize is the object size in bytes (≥ 16 for versioned payloads).
 	ObjSize int
-	// Workers is the engine worker count. The crash windows are
-	// worker-count-stable, so a violation found at Workers=8 replays at
-	// Workers=1 — that is the point of the coordinate system.
-	Workers int
 	// Fault, when set, installs a deterministic fabric adversary (the same
 	// spec and seed for the reference run and every crash point). Fault
 	// runs shorten the RC retransmit interval and raise the retry budget
@@ -92,7 +87,6 @@ func DefaultPartitionedConfig(seed int64) PartitionedConfig {
 		Shards:           2,
 		Replicas:         3,
 		ObjSize:          64,
-		Workers:          2,
 	}
 }
 
@@ -124,9 +118,8 @@ type RefStats struct {
 // PartitionedResult summarizes one cluster sweep. Point.Event holds the
 // crash window index.
 type PartitionedResult struct {
-	Seed    int64
-	Workers int
-	Points  int
+	Seed   int64
+	Points int
 	// Windows is the window count of the crash-free reference load — the
 	// coordinate space the points were sampled from.
 	Windows uint64
@@ -141,8 +134,7 @@ type PartitionedResult struct {
 }
 
 // Minimal returns the earliest-window violation, nil when clean. Replaying
-// it needs only the (seed, window, workers) triple — and workers is free to
-// be 1, since window indices are worker-count-stable.
+// it needs only the (seed, window) pair.
 func (r *PartitionedResult) Minimal() *ClusterViolation {
 	var min *ClusterViolation
 	for i := range r.Violations {
@@ -193,7 +185,7 @@ func newPartitionedRun(cfg PartitionedConfig) *pRun {
 		p.MutantResurrect = true
 	}
 	r := &pRun{}
-	c, err := cluster.NewPartitioned(cfg.Workers, p)
+	c, err := cluster.NewPartitioned(1, p)
 	if err != nil {
 		panic(err)
 	}
@@ -342,7 +334,7 @@ func (r *pRun) counters(res *PartitionedResult) {
 // PartitionedSweep runs the crash-free reference to size the window space,
 // then replays the workload once per window-boundary crash point.
 func PartitionedSweep(cfg PartitionedConfig) PartitionedResult {
-	res := PartitionedResult{Seed: cfg.Seed, Workers: cfg.Workers}
+	res := PartitionedResult{Seed: cfg.Seed}
 	horizonFrom := func(t sim.Time) sim.Time { return t.Add(120 * time.Millisecond) }
 
 	ref := newPartitionedRun(cfg)

@@ -7,7 +7,7 @@ import (
 // TestPartitionedSweepClean sweeps a reduced window-boundary point set over
 // the partitioned deployment's failover/resync path: no acknowledged write
 // may be lost and replicas must converge byte-identically at every crash
-// window, with the engine running multi-worker up to each crash.
+// window.
 func TestPartitionedSweepClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partitioned sweep is seconds-long")
@@ -15,7 +15,6 @@ func TestPartitionedSweepClean(t *testing.T) {
 	cfg := DefaultPartitionedConfig(1)
 	cfg.Points = 8
 	cfg.SecondCrashEvery = 4
-	cfg.Workers = 2
 	res := PartitionedSweep(cfg)
 	if res.ViolationCount != 0 {
 		for _, v := range res.Violations {
@@ -38,25 +37,23 @@ func TestPartitionedSweepClean(t *testing.T) {
 	}
 }
 
-// TestPartitionedSweepWorkerStable pins the coordinate-system claim: the
-// same sweep at different worker counts crashes at the same windows, drives
-// the same failover work, and reaches the same verdicts — a violation found
-// under parallel execution replays serially from its (seed, window) pair.
-func TestPartitionedSweepWorkerStable(t *testing.T) {
+// TestPartitionedSweepDeterministic pins the coordinate-system claim: the
+// same sweep run twice crashes at the same windows, drives the same
+// failover work, and reaches the same verdicts — a violation replays from
+// its (seed, window) pair.
+func TestPartitionedSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("partitioned sweep is seconds-long")
 	}
 	cfg := DefaultPartitionedConfig(7)
 	cfg.Points = 3
 	cfg.SecondCrashEvery = 0
-	cfg.Workers = 1
 	a := PartitionedSweep(cfg)
-	cfg.Workers = 4
 	b := PartitionedSweep(cfg)
 	if a.Windows != b.Windows || a.Failovers != b.Failovers ||
 		a.Resyncs != b.Resyncs || a.Shipped != b.Shipped ||
 		a.Replayed != b.Replayed || a.ViolationCount != b.ViolationCount {
-		t.Fatalf("sweep not worker-count-stable:\n  workers=1 %+v\n  workers=4 %+v", a, b)
+		t.Fatalf("sweep not reproducible:\n  first  %+v\n  second %+v", a, b)
 	}
 }
 
@@ -71,7 +68,6 @@ func TestPartitionedMutantsCaught(t *testing.T) {
 			cfg := DefaultPartitionedConfig(3)
 			cfg.Points = 6
 			cfg.SecondCrashEvery = 0
-			cfg.Workers = 2
 			cfg.Mutant = mutant
 			res := PartitionedSweep(cfg)
 			if res.ViolationCount == 0 {

@@ -7,7 +7,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"prdma/internal/sim"
@@ -74,10 +73,9 @@ type pooledMsg struct {
 
 // Network connects named endpoints. Endpoints may live on different kernels
 // of one sim.Engine (AttachOn): each endpoint's egress state is then owned by
-// its partition, deliveries between partitions ride the engine's window
-// barrier, and the counters below — bumped from several partitions at once —
-// are maintained with atomic adds (commutative sums, so the totals stay
-// deterministic at any worker count).
+// its partition and deliveries between partitions ride the engine's window
+// barrier. The engine steps every partition on one goroutine, so the
+// counters below are plain fields.
 type Network struct {
 	K      *sim.Kernel
 	Params Params
@@ -234,15 +232,15 @@ func (n *Network) SerializeCost(size int) time.Duration {
 func (e *Endpoint) sendCross(dst *Endpoint, arrive sim.Time, dup time.Duration, to string, size int, payload interface{}) {
 	e.postCross(dst, arrive, to, size, payload)
 	if dup > 0 {
-		atomic.AddInt64(&e.Net.Duplicated, 1)
+		e.Net.Duplicated++
 		e.postCross(dst, arrive.Add(dup), to, size, payload)
 	}
 }
 
 // countDrop bumps the total drop counter and one attribution counter.
 func (n *Network) countDrop(attr *int64) {
-	atomic.AddInt64(&n.Dropped, 1)
-	atomic.AddInt64(attr, 1)
+	n.Dropped++
+	(*attr)++
 }
 
 // deliverTo hands m to dst at its arrival time on dst's kernel, or counts it
@@ -252,7 +250,7 @@ func (n *Network) deliverTo(dst *Endpoint, at sim.Time, m *Message) {
 		n.countDrop(&n.DroppedDown)
 		return
 	}
-	atomic.AddInt64(&n.Delivered, 1)
+	n.Delivered++
 	dst.handler(at, m)
 }
 
@@ -310,7 +308,7 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	pm := e.getMsg()
 	pm.From, pm.To, pm.Size, pm.Payload = e.Name, to, size, payload
 	pm.release = release
-	atomic.AddInt64(&n.BytesSent, int64(size))
+	n.BytesSent += int64(size)
 
 	txDone := e.tx.Reserve(n.SerializeCost(size))
 
@@ -337,7 +335,7 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 		// later messages to the same destination may overtake — bounded
 		// reordering.
 		arrive = arrive.Add(v.reorder)
-		atomic.AddInt64(&n.Reordered, 1)
+		n.Reordered++
 	}
 
 	if n.Params.DropProb > 0 && n.rng.Float64() < n.Params.DropProb {
@@ -362,7 +360,7 @@ func (e *Endpoint) SendPooled(to string, size int, payload interface{}, release 
 	if v.dup > 0 {
 		// Duplicated delivery allocates its closures — acceptable: faults
 		// are never active on the alloc-pinned benchmark paths.
-		atomic.AddInt64(&n.Duplicated, 1)
+		n.Duplicated++
 		dupAt := arrive.Add(v.dup)
 		e.k.Schedule(arrive, func() { pm.deliverAt(arrive, false) })
 		e.k.Schedule(dupAt, func() { pm.deliverAt(dupAt, true) })

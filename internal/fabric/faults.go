@@ -11,7 +11,7 @@
 // (injector seed, endpoint name), and keeps its own counters. A message is
 // judged on its source's kernel, so the draw order is the source's send
 // order: a pure function of the simulation, whether the network lives on one
-// kernel or is spread over an engine's partitions at any worker count. A
+// kernel or is spread over an engine's partitions. A
 // (spec, seed) pair therefore reproduces the exact delivery schedule.
 package fabric
 

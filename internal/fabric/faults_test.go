@@ -292,10 +292,10 @@ func TestFaultSpecValidate(t *testing.T) {
 
 // TestInjectorPartitionedMatchesSingleKernel runs one adversary over three
 // endpoints, first on a single kernel and then with each endpoint on its own
-// engine partition at 1, 2 and 4 workers. Each source draws from its own
-// stream in its own send order, so every run must produce the same
-// deliveries at the same instants and the same counters: the injector is one
-// design on both kinds of network.
+// engine partition. Each source draws from its own stream in its own send
+// order, so both runs must produce the same deliveries at the same instants
+// and the same counters: the injector is one design on both kinds of
+// network.
 func TestInjectorPartitionedMatchesSingleKernel(t *testing.T) {
 	spec := FaultSpec{
 		Partitions:   []PartitionSpec{{From: "a", To: "c", StartUS: 40, EndUS: 90}},
@@ -312,15 +312,15 @@ func TestInjectorPartitionedMatchesSingleKernel(t *testing.T) {
 		from, to string
 		id       int
 	}
-	run := func(workers int) ([]delivery, [5]int64, [3]int64) {
+	run := func(partitioned bool) ([]delivery, [5]int64, [3]int64) {
 		p := DefaultParams()
 		var kernels [3]*sim.Kernel
 		var eng *sim.Engine
-		if workers == 0 {
+		if !partitioned {
 			k := sim.New()
 			kernels = [3]*sim.Kernel{k, k, k}
 		} else {
-			eng = sim.NewEngine(p.Lookahead(), workers)
+			eng = sim.NewEngine(p.Lookahead())
 			for i := range kernels {
 				kernels[i] = eng.NewKernel()
 			}
@@ -371,21 +371,19 @@ func TestInjectorPartitionedMatchesSingleKernel(t *testing.T) {
 			[5]int64{inj.DropsPartition(), inj.DropsBurst(), inj.GrayDelays(), inj.Duplicates(), inj.Reorders()},
 			[3]int64{net.DroppedFault, net.Duplicated, net.Reordered}
 	}
-	want, wantInj, wantNet := run(0)
+	want, wantInj, wantNet := run(false)
 	for i, c := range wantInj {
 		if c == 0 {
 			t.Fatalf("adversary mechanism %d never fired: %v", i, wantInj)
 		}
 	}
-	for _, workers := range []int{1, 2, 4} {
-		got, inj, netc := run(workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: delivery schedule differs from the single-kernel run (%d vs %d deliveries)",
-				workers, len(got), len(want))
-		}
-		if inj != wantInj || netc != wantNet {
-			t.Fatalf("workers=%d: counters injector=%v network=%v, single kernel %v %v",
-				workers, inj, netc, wantInj, wantNet)
-		}
+	got, inj, netc := run(true)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("partitioned delivery schedule differs from the single-kernel run (%d vs %d deliveries)",
+			len(got), len(want))
+	}
+	if inj != wantInj || netc != wantNet {
+		t.Fatalf("partitioned counters injector=%v network=%v, single kernel %v %v",
+			inj, netc, wantInj, wantNet)
 	}
 }

@@ -7,11 +7,7 @@
 // simulation form. See DESIGN.md §12.
 package fabric
 
-import (
-	"sync/atomic"
-
-	"prdma/internal/sim"
-)
+import "prdma/internal/sim"
 
 // TransferPooled is the recycling counterpart of Transferable. The clone it
 // returns must be safe for the destination partition while the source reuses
@@ -51,9 +47,9 @@ type xferEnv struct {
 // xferDir is the per-(source endpoint, destination partition) slab.
 // Ownership is split so no lock is ever taken: the source partition pops
 // free envelopes, the destination partition parks spent ones, and the
-// engine's flush hook — coordinator context, every kernel quiesced — moves
-// spent back to free at window barriers. The engine's barrier atomics
-// provide the happens-before edges for each hand-off.
+// engine's flush hook — every kernel quiesced — moves spent back to free at
+// window barriers. The engine steps every partition on one goroutine, so
+// each hand-off is ordered by the window loop itself.
 type xferDir struct {
 	net     *Network
 	dstPart int
@@ -79,10 +75,10 @@ func (e *Endpoint) getXfer(dst *Endpoint) *xferEnv {
 		dir.free[l-1] = nil
 		dir.free = dir.free[:l-1]
 		env.dst = dst
-		atomic.AddInt64(&e.Net.XferReused, 1)
+		e.Net.XferReused++
 		return env
 	}
-	atomic.AddInt64(&e.Net.XferAllocs, 1)
+	e.Net.XferAllocs++
 	env := &xferEnv{dir: dir, dst: dst}
 	env.release = func() { env.park() }
 	env.fn = func() { env.deliver() }
@@ -170,8 +166,8 @@ func (n *Network) growReclaim(part int) {
 
 // XferSlabStats reports pooled cross-transfer envelope reuse: hits are
 // envelopes served from a slab, misses are fresh allocations. Both are
-// deterministic at any worker count (pops and parks are per-direction and
-// ordered by the simulation, reclaim by the barrier).
+// deterministic: pops and parks are per-direction and ordered by the
+// simulation, reclaim by the barrier.
 func (n *Network) XferSlabStats() (hits, misses int64) {
-	return atomic.LoadInt64(&n.XferReused), atomic.LoadInt64(&n.XferAllocs)
+	return n.XferReused, n.XferAllocs
 }

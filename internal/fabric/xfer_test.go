@@ -53,7 +53,7 @@ type xferPair struct {
 func newXferPair(t *testing.T, payload func() interface{}) *xferPair {
 	t.Helper()
 	p := DefaultParams()
-	e := sim.NewEngine(p.Lookahead(), 2)
+	e := sim.NewEngine(p.Lookahead())
 	ka, kb := e.NewKernel(), e.NewKernel()
 	xp := &xferPair{e: e, ka: ka, kb: kb}
 	n := New(ka, p, 7)
@@ -123,7 +123,7 @@ func TestCrossTransferAllocFree(t *testing.T) {
 func TestCrossTransferPlainFallback(t *testing.T) {
 	var last *plainPayload
 	p := DefaultParams()
-	e := sim.NewEngine(p.Lookahead(), 1)
+	e := sim.NewEngine(p.Lookahead())
 	ka, kb := e.NewKernel(), e.NewKernel()
 	n := New(ka, p, 7)
 	n.AttachOn(kb, "b", func(at sim.Time, m *Message) { last = m.Payload.(*plainPayload) })
@@ -154,7 +154,7 @@ func TestCrossTransferPlainFallback(t *testing.T) {
 // out past delivery, and the envelope is only reused after the release.
 func TestCrossTransferRetainedClone(t *testing.T) {
 	p := DefaultParams()
-	e := sim.NewEngine(p.Lookahead(), 1)
+	e := sim.NewEngine(p.Lookahead())
 	ka, kb := e.NewKernel(), e.NewKernel()
 	n := New(ka, p, 7)
 	var held []*xferPayload
@@ -205,7 +205,7 @@ func BenchmarkCrossTransfer(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p := DefaultParams()
-			e := sim.NewEngine(p.Lookahead(), 1)
+			e := sim.NewEngine(p.Lookahead())
 			ka, kb := e.NewKernel(), e.NewKernel()
 			n := New(ka, p, 7)
 			n.AttachOn(kb, "b", func(at sim.Time, m *Message) {})
@@ -229,36 +229,30 @@ func BenchmarkCrossTransfer(b *testing.B) {
 }
 
 // BenchmarkWindowBarrier measures an engine window with two active kernels
-// and no cross traffic — the pure coordination cost the sense-reversing
-// barrier replaces the channel dispatch with.
+// and no cross traffic — the pure per-window coordination cost.
 func BenchmarkWindowBarrier(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		name := map[int]string{1: "serial", 2: "2workers"}[workers]
-		b.Run(name, func(b *testing.B) {
-			e := sim.NewEngine(100*time.Nanosecond, workers)
-			ka, kb := e.NewKernel(), e.NewKernel()
-			stop := false
-			var ta, tb func()
-			ta = func() {
-				if !stop {
-					ka.Schedule(ka.Now()+100, ta)
-				}
-			}
-			tb = func() {
-				if !stop {
-					kb.Schedule(kb.Now()+100, tb)
-				}
-			}
-			ka.Schedule(0, ta)
-			kb.Schedule(0, tb)
-			e.RunWindows(64) // warm
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunWindows(1)
-			}
-			b.StopTimer()
-			stop = true
-			e.Run()
-		})
+	e := sim.NewEngine(100 * time.Nanosecond)
+	ka, kb := e.NewKernel(), e.NewKernel()
+	stop := false
+	var ta, tb func()
+	ta = func() {
+		if !stop {
+			ka.Schedule(ka.Now()+100, ta)
+		}
 	}
+	tb = func() {
+		if !stop {
+			kb.Schedule(kb.Now()+100, tb)
+		}
+	}
+	ka.Schedule(0, ta)
+	kb.Schedule(0, tb)
+	e.RunWindows(64) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunWindows(1)
+	}
+	b.StopTimer()
+	stop = true
+	e.Run()
 }

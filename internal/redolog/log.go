@@ -462,10 +462,20 @@ func (l *Log) Recover(p *sim.Proc) []Entry {
 	// entry confirms the writer actually wrapped; a probe of offset 0 that
 	// finds nothing must not consume capacity.
 	pendSlackOff := int64(-1)
+	// runEnd marks where the live run ended when a durably consumed entry
+	// followed a live one in the same segment: everything from there on is
+	// past the tail, so a wrap's slack starts there, and nothing later in
+	// the segment may be accepted (it would splice onto the window across
+	// a gap the ring accounting cannot represent).
+	runEnd := int64(-1)
 	wrapTo0 := func() {
 		if expect != 0 {
 			pendSlackOff = off
+			if runEnd >= 0 {
+				pendSlackOff = runEnd
+			}
 		}
+		runEnd = -1
 		wrapped = true
 		off = 0
 	}
@@ -503,11 +513,16 @@ func (l *Log) Recover(p *sim.Proc) []Entry {
 		}
 		if seq < floor {
 			// Durably consumed on a previous lap: walk over it.
+			if expect != 0 && runEnd < 0 {
+				runEnd = off
+			}
 			off += foot
 			continue
 		}
-		if seq < expect {
-			break // stale entry from an older lap: frontier reached
+		if seq < expect || runEnd >= 0 {
+			// A stale entry from an older lap, or any entry past the end
+			// of the live run: frontier reached.
+			break
 		}
 		// Sequences must strictly increase but need not be contiguous:
 		// non-mutating requests consume sequence numbers without writing

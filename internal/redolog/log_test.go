@@ -81,7 +81,9 @@ func TestRecoverReturnsUnconsumedFIFO(t *testing.T) {
 	}
 }
 
-func TestTornEntryNotRecovered(t *testing.T) {
+// crashTornSecond commits one entry to a 1<<16-byte ring, then crashes just
+// before a second, 4096-byte entry's persist completes.
+func crashTornSecond(t testing.TB) (*sim.Kernel, *pmem.Device) {
 	k, pm, l := newLog(1 << 16)
 	_, done, err := l.AppendNIC(k.Now(), 1, 64, payload(0, 64))
 	if err != nil {
@@ -96,6 +98,11 @@ func TestTornEntryNotRecovered(t *testing.T) {
 	k.RunUntil(done2 - 1) // stop just before completion
 	pm.Crash()
 	k.Run()
+	return k, pm
+}
+
+func TestTornEntryNotRecovered(t *testing.T) {
+	k, pm := crashTornSecond(t)
 	l2 := New(k, pm, 1<<20, 1<<16)
 	var got []Entry
 	k.Go("recover", func(p *sim.Proc) { got = l2.Recover(p) })
@@ -333,12 +340,11 @@ func TestEntrySizeAndEncode(t *testing.T) {
 	}
 }
 
-// TestRecoverHeadLagsAcrossWrap batches control persists so the durable
-// head stays several consumes behind while the writer wraps the ring.
-// Recovery must replay at-least-once from the stale head: the two
-// non-durably-consumed entries reappear, followed by the live tail and the
-// wrapped entry — and never fewer.
-func TestRecoverHeadLagsAcrossWrap(t *testing.T) {
+// crashHeadLagsAcrossWrap fills a 4096-byte ring, durably consumes four
+// entries, lazily consumes two more and wraps an eighth entry to offset 0,
+// then crashes with the durable head still on entry 5. It returns the
+// payloads by seq-1.
+func crashHeadLagsAcrossWrap(t testing.TB) (*sim.Kernel, *pmem.Device, [][]byte) {
 	k, pm, l := newLog(4096 + ctrlBytes)
 	l.CtrlEvery = 1
 	// Lap 1: seven 536-byte entries fill the ring; durably consume four,
@@ -374,7 +380,16 @@ func TestRecoverHeadLagsAcrossWrap(t *testing.T) {
 	k.Run()
 	pm.Crash()
 	k.Run()
+	return k, pm, payloads
+}
 
+// TestRecoverHeadLagsAcrossWrap batches control persists so the durable
+// head stays several consumes behind while the writer wraps the ring.
+// Recovery must replay at-least-once from the stale head: the two
+// non-durably-consumed entries reappear, followed by the live tail and the
+// wrapped entry — and never fewer.
+func TestRecoverHeadLagsAcrossWrap(t *testing.T) {
+	k, pm, payloads := crashHeadLagsAcrossWrap(t)
 	l2 := New(k, pm, 1<<20, 4096+ctrlBytes)
 	var got []Entry
 	k.Go("recover", func(p *sim.Proc) { got = l2.Recover(p) })
@@ -404,12 +419,10 @@ func TestRecoverHeadLagsAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestRecoverHeadInWrapSlack drives the durable head into the ring-end wrap
-// slack: every entry of a full lap is durably consumed (head = old tail),
-// then the next append wraps. The recovery scan finds nothing at the head,
-// probes offset 0, and must pick up the wrapped entry without charging
-// phantom slack to the used span.
-func TestRecoverHeadInWrapSlack(t *testing.T) {
+// crashHeadInWrapSlack durably consumes a full lap of a 4096-byte ring, so
+// the durable head sits where the next append leaves wrap slack, wraps an
+// eighth entry to offset 0 and crashes. It returns that entry's payload.
+func crashHeadInWrapSlack(t testing.TB) (*sim.Kernel, *pmem.Device, []byte) {
 	k, pm, l := newLog(4096 + ctrlBytes)
 	l.CtrlEvery = 1
 	for i := 1; i <= 7; i++ {
@@ -432,7 +445,16 @@ func TestRecoverHeadInWrapSlack(t *testing.T) {
 	k.Run()
 	pm.Crash()
 	k.Run()
+	return k, pm, pl8
+}
 
+// TestRecoverHeadInWrapSlack drives the durable head into the ring-end wrap
+// slack: every entry of a full lap is durably consumed (head = old tail),
+// then the next append wraps. The recovery scan finds nothing at the head,
+// probes offset 0, and must pick up the wrapped entry without charging
+// phantom slack to the used span.
+func TestRecoverHeadInWrapSlack(t *testing.T) {
+	k, pm, pl8 := crashHeadInWrapSlack(t)
 	l2 := New(k, pm, 1<<20, 4096+ctrlBytes)
 	var got []Entry
 	k.Go("recover", func(p *sim.Proc) { got = l2.Recover(p) })
@@ -451,6 +473,33 @@ func TestRecoverHeadInWrapSlack(t *testing.T) {
 	}
 }
 
+// crashBetweenCtrlWords commits six entries to a 1<<14-byte ring, consumes
+// the first, and crashes delta/8 of the way through the head-then-floor
+// control persist. It returns the payloads by seq-1.
+func crashBetweenCtrlWords(t testing.TB, delta int) (*sim.Kernel, *pmem.Device, [][]byte) {
+	k, pm, l := newLog(1<<14 + ctrlBytes)
+	l.CtrlEvery = 1
+	var payloads [][]byte
+	for i := 1; i <= 6; i++ {
+		pl := payload(i, 64)
+		payloads = append(payloads, pl)
+		_, done, err := l.AppendNIC(k.Now(), 1, 64, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.RunUntil(done)
+	}
+	start := k.Now()
+	done := l.Consume(k.Now(), 1) // persists head then floor
+	if done <= start {
+		t.Fatal("control persist completed instantly; the sweep is vacuous")
+	}
+	k.RunUntil(start.Add(done.Sub(start) * time.Duration(delta) / 8))
+	pm.Crash()
+	k.Run()
+	return k, pm, payloads
+}
+
 // TestCrashBetweenCtrlWordPersists crashes at every offset across the
 // control-persist window, so recovery sees every split of {old,new} head ×
 // {old,new} floor — including a fresh floor with a stale head, which forces
@@ -458,27 +507,7 @@ func TestRecoverHeadInWrapSlack(t *testing.T) {
 // unconsumed durable entry.
 func TestCrashBetweenCtrlWordPersists(t *testing.T) {
 	for delta := 0; delta <= 8; delta++ {
-		k, pm, l := newLog(1<<14 + ctrlBytes)
-		l.CtrlEvery = 1
-		var payloads [][]byte
-		for i := 1; i <= 6; i++ {
-			pl := payload(i, 64)
-			payloads = append(payloads, pl)
-			_, done, err := l.AppendNIC(k.Now(), 1, 64, pl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			k.RunUntil(done)
-		}
-		start := k.Now()
-		done := l.Consume(k.Now(), 1) // persists head then floor
-		if done <= start {
-			t.Fatal("control persist completed instantly; the sweep is vacuous")
-		}
-		k.RunUntil(start.Add(done.Sub(start) * time.Duration(delta) / 8))
-		pm.Crash()
-		k.Run()
-
+		k, pm, payloads := crashBetweenCtrlWords(t, delta)
 		l2 := New(k, pm, 1<<20, 1<<14+ctrlBytes)
 		var got []Entry
 		k.Go("recover", func(p *sim.Proc) { got = l2.Recover(p) })

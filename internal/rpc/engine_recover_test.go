@@ -51,7 +51,7 @@ func TestEngineModeRecovery(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fp := fabric.DefaultParams()
-			e := sim.NewEngine(fp.Lookahead(), 2)
+			e := sim.NewEngine(fp.Lookahead())
 			kc, ks := e.NewKernel(), e.NewKernel()
 			net := fabric.New(kc, fp, 11)
 			cli := host.New(kc, "cli", net, host.DefaultParams(), pmem.DefaultParams(), rnic.DefaultParams())

@@ -15,14 +15,13 @@ import (
 // engineTrace runs a durable-RPC workload of the given family with the
 // client and server on separate kernels of one engine and returns a textual
 // trace of every response's timing plus end-state counters. The trace must
-// be identical at every worker count: the partitioning is fixed, so worker
-// threads are pure execution resources. native=true turns off the
-// read-after-write flush emulation (exercising, for SFlush, the server-NIC
-// reservation FIFO path).
-func engineTrace(t *testing.T, kind Kind, native bool, workers, procs, ops int) (string, uint64) {
+// be identical in every run. native=true turns off the read-after-write
+// flush emulation (exercising, for SFlush, the server-NIC reservation FIFO
+// path).
+func engineTrace(t *testing.T, kind Kind, native bool, procs, ops int) (string, uint64) {
 	t.Helper()
 	fp := fabric.DefaultParams()
-	e := sim.NewEngine(fp.Lookahead(), workers)
+	e := sim.NewEngine(fp.Lookahead())
 	kc, ks := e.NewKernel(), e.NewKernel()
 	net := fabric.New(kc, fp, 7)
 	np := rnic.DefaultParams()
@@ -66,7 +65,7 @@ func engineTrace(t *testing.T, kind Kind, native bool, workers, procs, ops int) 
 	}
 	e.Run()
 	if done != procs*ops {
-		t.Fatalf("workers=%d: %d/%d ops completed (deadlock?)", workers, done, procs*ops)
+		t.Fatalf("%d/%d ops completed (deadlock?)", done, procs*ops)
 	}
 	fmt.Fprintf(&b, "handled=%d appends=%d consumes=%d outstanding=%d\n",
 		s.Handled, c.(*durableClient).log.Appends, c.(*durableClient).log.Consumes,
@@ -76,26 +75,22 @@ func engineTrace(t *testing.T, kind Kind, native bool, workers, procs, ops int) 
 
 // TestEngineModeWFlushDeterminism pins the tentpole contract at the RPC
 // layer: a cross-partition WFlush-RPC connection produces byte-identical
-// response timings at 1, 2 and 4 workers, and traffic genuinely crosses the
-// partition boundary.
+// response timings in two runs, and traffic genuinely crosses the partition
+// boundary.
 func TestEngineModeWFlushDeterminism(t *testing.T) {
 	const procs, ops = 4, 25
-	want, crossed := engineTrace(t, WFlushRPC, false, 1, procs, ops)
+	want, crossed := engineTrace(t, WFlushRPC, false, procs, ops)
 	if crossed == 0 {
 		t.Fatal("no messages crossed the partition boundary")
 	}
-	for _, workers := range []int{2, 4} {
-		got, _ := engineTrace(t, WFlushRPC, false, workers, procs, ops)
-		if got != want {
-			t.Fatalf("workers=%d: trace diverged from workers=1\n--- workers=1\n%.2000s\n--- workers=%d\n%.2000s",
-				workers, want, workers, got)
-		}
+	if got, _ := engineTrace(t, WFlushRPC, false, procs, ops); got != want {
+		t.Fatalf("trace diverged between two runs\n--- first\n%.2000s\n--- second\n%.2000s", want, got)
 	}
 }
 
 // TestEngineModeFamilyDeterminism extends the engine-mode contract to every
-// durable family: each runs cross-kernel with byte-identical traces at
-// workers 1, 2, 4 and 8. SFlush is exercised in both flavors — emulated
+// durable family: each runs cross-kernel with byte-identical traces in two
+// runs. SFlush is exercised in both flavors — emulated
 // (per-request recv-buffer registration hops to the server partition) and
 // native (the reservation FIFO the server NIC pops hops over instead);
 // SRFlush always registers its log-slot buffers cross-partition, and
@@ -114,16 +109,12 @@ func TestEngineModeFamilyDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, crossed := engineTrace(t, tc.kind, tc.native, 1, procs, ops)
+			want, crossed := engineTrace(t, tc.kind, tc.native, procs, ops)
 			if crossed == 0 {
 				t.Fatal("no messages crossed the partition boundary")
 			}
-			for _, workers := range []int{2, 4, 8} {
-				got, _ := engineTrace(t, tc.kind, tc.native, workers, procs, ops)
-				if got != want {
-					t.Fatalf("workers=%d: trace diverged from workers=1\n--- workers=1\n%.2000s\n--- workers=%d\n%.2000s",
-						workers, want, workers, got)
-				}
+			if got, _ := engineTrace(t, tc.kind, tc.native, procs, ops); got != want {
+				t.Fatalf("trace diverged between two runs\n--- first\n%.2000s\n--- second\n%.2000s", want, got)
 			}
 		})
 	}

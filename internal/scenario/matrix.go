@@ -149,9 +149,6 @@ type MatrixSpec struct {
 	// Mutant seeds a known bug class into every cell ("ackbug" or
 	// "resurrect"); the detection check asserts at least one cell fails.
 	Mutant string
-	// Workers is each cell's engine worker count (0 means 1). Rows are
-	// identical at any count.
-	Workers int
 }
 
 // DefaultMatrixSpec returns the full matrix at the CI-sized deployment:
@@ -257,7 +254,6 @@ func (r *CellResult) Verdict() string {
 // cell's adversary and workload.
 func (m *MatrixSpec) RunCell(cell Cell) CellResult {
 	cfg := crashcheck.PartitionedConfig{
-		Workers:          max(m.Workers, 1),
 		Seed:             m.Seed,
 		Points:           m.Points,
 		SecondCrashEvery: m.SecondCrashEvery,

@@ -141,40 +141,35 @@ func TestFaultByName(t *testing.T) {
 	}
 }
 
-// TestMatrixCellWorkerStable runs faulted cells on the engine at 1, 2 and 4
-// workers: each adversary draws per source endpoint, so every row —
-// performance, injector counters, controller work and verdict — must be
-// identical at any worker count, and the adversary must actually have
-// interfered.
-func TestMatrixCellWorkerStable(t *testing.T) {
+// TestMatrixCellDeterministic runs faulted cells on the engine twice: each
+// adversary draws per source endpoint, so every row — performance, injector
+// counters, controller work and verdict — must be identical across runs,
+// and the adversary must actually have interfered.
+func TestMatrixCellDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweeps are slow")
 	}
 	m := reducedMatrix(7, []string{"partition", "chaos"}, []ycsb.Workload{ycsb.A})
-	var base []CellResult
-	for _, workers := range []int{1, 2, 4} {
-		m.Workers = workers
-		rows, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
+	base, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range base {
+		if r.Violations != 0 {
+			t.Errorf("cell %s/%s: %d violations, first: %s", r.Fault, r.Workload, r.Violations, r.First)
 		}
-		if base == nil {
-			base = rows
-			for _, r := range rows {
-				if r.Violations != 0 {
-					t.Errorf("cell %s/%s: %d violations, first: %s", r.Fault, r.Workload, r.Violations, r.First)
-				}
-				if r.FaultDrops == 0 || r.Resends == 0 {
-					t.Errorf("cell %s/%s: adversary inert (drops=%d resends=%d)", r.Fault, r.Workload, r.FaultDrops, r.Resends)
-				}
-				if r.Fault == "chaos" && (r.Duplicated == 0 || r.Reordered == 0) {
-					t.Errorf("chaos/%s: dup=%d reorder=%d, want both > 0", r.Workload, r.Duplicated, r.Reordered)
-				}
-			}
-			continue
+		if r.FaultDrops == 0 || r.Resends == 0 {
+			t.Errorf("cell %s/%s: adversary inert (drops=%d resends=%d)", r.Fault, r.Workload, r.FaultDrops, r.Resends)
 		}
-		if !reflect.DeepEqual(rows, base) {
-			t.Fatalf("workers=%d rows differ from workers=1:\n%+v\n%+v", workers, rows, base)
+		if r.Fault == "chaos" && (r.Duplicated == 0 || r.Reordered == 0) {
+			t.Errorf("chaos/%s: dup=%d reorder=%d, want both > 0", r.Workload, r.Duplicated, r.Reordered)
 		}
+	}
+	rows, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, base) {
+		t.Fatalf("rows differ between two runs:\n%+v\n%+v", rows, base)
 	}
 }

@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -31,70 +28,44 @@ import (
 //
 // Step 3 is safe because a message sent at time s >= T arrives at
 // s+lookahead > T+lookahead-1: nothing a peer does inside the window can
-// affect this window. Step 2's canonical merge makes the result independent
-// of worker count and interleaving: kernels are deterministic in isolation,
-// and everything that crosses between them is ordered by data, not by
-// execution order. That is the engine's contract — byte-identical output at
-// a fixed seed for any number of workers, including one.
+// affect this window. Step 1's canonical merge makes the result a function
+// of the messages' data, not of the order kernels ran in: kernels are
+// deterministic in isolation, and everything that crosses between them is
+// ordered by data.
 //
-// Coordination tax. A window with a single active kernel runs on the
-// coordinator without waking the workers, idle kernels are never
-// dispatched, and multi-kernel windows use a generation barrier (two
-// atomics per worker per window) over statically sharded kernels instead of
-// channel sends.
+// Every window runs on the calling goroutine, kernel by kernel in creation
+// order; the engine starts no goroutine. The simulated quantities are all
+// virtual time, so host threads could only buy wall-clock speed, and a
+// barrier worker pool measured slower per simulated op than this loop (see
+// EXPERIMENTS.md). Idle kernels are never dispatched.
 type Engine struct {
 	kernels   []*Kernel
 	lookahead Time
-	workers   int
 
-	// deadline is the inclusive edge of the window being executed; workers
-	// read it (written by the coordinator strictly before the barrier
-	// release, so the generation bump publishes it).
+	// deadline is the inclusive edge of the window being executed.
 	deadline Time
 	// outboxes holds cross-partition messages: one slot per source kernel,
 	// appended only by events running on that kernel.
 	outboxes [][]crossMsg
 
-	// Barrier worker pool (lazily started, torn down by Shutdown, restarted
-	// clean by the next startWorkers). The coordinator owns shard 0; helper i
-	// owns shards[i]. A window is opened by bumping barGen (helpers spin
-	// briefly, then park on barCond) and closed when barDone reaches helpers.
-	shards    [][]*Kernel
-	sharded   int // len(kernels) when shards were last built
-	helpers   int
-	barGen    atomic.Uint64
-	barDone   atomic.Int64
-	barQuit   atomic.Bool
-	sleepers  atomic.Int64
-	barMu     sync.Mutex
-	barCond   *sync.Cond
-	hwg       sync.WaitGroup
-	workersUp bool
-
 	// serialized is a nesting counter: while positive, windows execute as an
-	// exact global event merge on the stepping goroutine (see stepMerged).
-	// Crash/recovery spans hold a token per crashed replica so recovery
-	// procs see one global event order. Written only by the stepping
-	// goroutine (driver context at a window barrier, or an event inside a
-	// serialized window).
+	// exact global event merge (see stepMerged). Crash/recovery spans hold a
+	// token per crashed replica so recovery procs see one global event
+	// order. Changed only at a window barrier (driver context) or by an
+	// event inside a serialized window.
 	serialized int
 
-	// spin is how many Gosched rounds a helper waits on the generation
-	// before parking on the condvar; fixed at construction (from
-	// barSpinRounds) so helpers never read a mutable global.
-	spin int
-
-	// hooks run at every window barrier's flush, in coordinator context with
-	// all kernels quiesced (see AddFlushHook).
+	// hooks run at every window barrier's flush, with all kernels quiesced
+	// (see AddFlushHook).
 	hooks []func()
 
-	stopped atomic.Bool
+	stopped bool
 	crossed uint64 // cross-partition messages delivered
 	windows uint64 // windows executed; the partitioned crash coordinate
 
-	// Coordination counters (deterministic at any worker count).
+	// Coordination counters.
 	idleSkips uint64 // kernel dispatches skipped because the kernel was idle
-	barriers  uint64 // windows that needed more than one kernel
+	barriers  uint64 // windows with more than one active kernel
 
 	// flush scratch for the k-way outbox merge, reused across windows.
 	mergeSrcs  []int
@@ -107,37 +78,19 @@ type crossMsg struct {
 	fn  func()
 }
 
-// barSpinRounds seeds Engine.spin: how many Gosched rounds a helper spins on
-// the generation before parking on the condvar. A var so tests can force the
-// park path (set to 0 around engine construction) and hammer the
-// park/broadcast handshake under -race; it must not change concurrently
-// with engine construction.
-var barSpinRounds = 256
-
-// barStallTimeout bounds the coordinator's wait for helpers to finish a
-// window. Helpers cannot legally disappear mid-window, so hitting it means a
-// lost helper (or a barrier-protocol bug); the coordinator panics with the
-// barrier state instead of spinning silently forever.
-const barStallTimeout = 30 * time.Second
-
-// NewEngine returns an engine with the given lookahead (the minimum
-// cross-partition delay any Post will honor) and worker goroutine count.
-// workers <= 1 runs the windows on the calling goroutine; the output is
-// byte-identical at any setting. Kernels are added with NewKernel.
-func NewEngine(lookahead time.Duration, workers int) *Engine {
+// NewEngine returns an engine with the given lookahead: the minimum
+// cross-partition delay any Post will honor. Kernels are added with
+// NewKernel.
+func NewEngine(lookahead time.Duration) *Engine {
 	if lookahead <= 0 {
 		panic("sim: engine lookahead must be positive")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &Engine{lookahead: Time(lookahead), workers: workers, deadline: -1, spin: barSpinRounds}
+	return &Engine{lookahead: Time(lookahead), deadline: -1}
 }
 
 // NewKernel adds a partition to the engine and returns its kernel. Create
 // partitions during setup or at a window barrier (driver context, engine
-// paused) — never from inside an event. Kernels added after the worker pool
-// came up are folded into the shards at the next multi-kernel window.
+// paused) — never from inside an event.
 func (e *Engine) NewKernel() *Kernel {
 	k := New()
 	k.eng = e
@@ -153,14 +106,20 @@ func (e *Engine) Kernels() []*Kernel { return e.kernels }
 // Lookahead returns the engine's conservative lookahead.
 func (e *Engine) Lookahead() time.Duration { return time.Duration(e.lookahead) }
 
-// Workers returns the worker count the engine was built with.
-func (e *Engine) Workers() int { return e.workers }
-
 // Fired reports the total events executed across all partitions.
 func (e *Engine) Fired() uint64 {
 	var n uint64
 	for _, k := range e.kernels {
 		n += k.Fired()
+	}
+	return n
+}
+
+// Switches reports the total proc switches across all partitions.
+func (e *Engine) Switches() uint64 {
+	var n uint64
+	for _, k := range e.kernels {
+		n += k.Switches()
 	}
 	return n
 }
@@ -172,7 +131,7 @@ func (e *Engine) Crossed() uint64 { return e.crossed }
 // boundary is a global barrier — no kernel is mid-event, every delivered
 // cross message is in a destination queue — so the window index is a stable,
 // enumerable coordinate for external intervention: with identical inputs the
-// i-th window covers the same events in every run, at any worker count. The
+// i-th window covers the same events in every run. The
 // cluster crash sweep crashes "at window i" the way the single-server sweep
 // crashes "after event i".
 func (e *Engine) Windows() uint64 { return e.windows }
@@ -181,27 +140,25 @@ func (e *Engine) Windows() uint64 { return e.windows }
 // because the kernel had no event inside the window.
 func (e *Engine) IdleSkips() uint64 { return e.idleSkips }
 
-// Barriers reports how many windows had more than one active kernel — the
-// windows that actually pay for multi-worker coordination.
+// Barriers reports how many windows had more than one active kernel.
 func (e *Engine) Barriers() uint64 { return e.barriers }
 
 // AddFlushHook registers fn to run at every window barrier, immediately
-// before buffered cross messages are delivered. Hooks run in coordinator context: exactly one
-// goroutine, all kernels quiesced, so they may touch any partition's state.
+// before buffered cross messages are delivered. Hooks run with all kernels
+// quiesced, so they may touch any partition's state.
 // The fabric uses this to recycle cross-transfer slabs whose envelopes were
 // released by destination partitions. Register during setup, before Run.
 func (e *Engine) AddFlushHook(fn func()) { e.hooks = append(e.hooks, fn) }
 
 // Serialize forces subsequent windows to run as an exact global event merge
-// on the stepping goroutine (see stepMerged) — the same total order a single
-// serial kernel would produce, independent of the worker count — until a
-// matching Unserialize. Calls nest. Crash/recovery spans use it: with a
-// replica down, recovery procs reach across kernels in patterns the
-// conservative lookahead cannot order (reestablish, log replay, quiesce
-// barriers), and a serialized window gives them that global order, while
-// Post delivers cross messages directly instead of deferring them to the
-// next barrier. Call only from a window barrier (driver context) or from an
-// event already inside a serialized window.
+// (see stepMerged) — the same total order a single serial kernel would
+// produce — until a matching Unserialize. Calls nest. Crash/recovery spans
+// use it: with a replica down, recovery procs reach across kernels in
+// patterns the conservative lookahead cannot order (reestablish, log replay,
+// quiesce barriers), and a serialized window gives them that global order,
+// while Post delivers cross messages directly instead of deferring them to
+// the next barrier. Call only from a window barrier (driver context) or from
+// an event already inside a serialized window.
 func (e *Engine) Serialize() {
 	e.serialized++
 	e.syncClocks()
@@ -249,13 +206,10 @@ func (e *Engine) Serialized() bool { return e.serialized > 0 }
 // the lookahead always are. Messages are buffered per source and delivered
 // at the next window barrier in canonical order.
 //
-// Inside a serialized span the window edge does not bind: kernels step
-// sequentially on one goroutine, so a global event order exists without the
-// lookahead discipline, and the message is scheduled onto dst directly
+// Inside a serialized span the window edge does not bind: events run in one
+// global merge order, so the message is scheduled onto dst directly
 // (clamped to dst's clock — recovery procs reach kernels whose clocks lag
-// the window, exactly the interactions Serialize exists to legalize). The
-// branch depends only on the serialized state, never the worker count, so
-// runs stay byte-identical across workers.
+// the window, exactly the interactions Serialize exists to legalize).
 func (e *Engine) Post(src, dst *Kernel, at Time, fn func()) {
 	if src == dst {
 		src.Schedule(at, fn)
@@ -285,138 +239,18 @@ func (e *Engine) PostAfterLookahead(src, dst *Kernel, fn func()) {
 
 // Stop makes Run return at the next window barrier. Safe to call from any
 // partition's events.
-func (e *Engine) Stop() { e.stopped.Store(true) }
-
-// startWorkers lazily brings up the barrier worker pool: helpers = workers-1
-// goroutines (capped at one per kernel), each owning a round-robin shard of
-// the kernels; the coordinator runs shard 0 itself. The pool lives until
-// Shutdown so that window-stepped drivers (RunWindows callers) do not respawn
-// goroutines per call; a pool torn down by Shutdown restarts clean here.
-// Called only at a window barrier (no helpers mid-window), so it may also
-// rebuild the shards when kernels were added since the pool came up.
-func (e *Engine) startWorkers() {
-	if e.workersUp {
-		if e.helpers > 0 && e.sharded != len(e.kernels) {
-			e.reshard()
-		}
-		return
-	}
-	w := e.workers
-	if w > len(e.kernels) {
-		w = len(e.kernels)
-	}
-	e.helpers = w - 1
-	if e.barCond == nil {
-		e.barCond = sync.NewCond(&e.barMu)
-	}
-	if e.helpers > 0 {
-		// Fresh pools (including post-Shutdown restarts) must not inherit the
-		// previous pool's barrier state: helpers start at seen=0, so a stale
-		// barGen would open a phantom window, and a stale barQuit would make
-		// them exit before ever reporting barDone.
-		e.barQuit.Store(false)
-		e.barGen.Store(0)
-		e.barDone.Store(0)
-		e.sleepers.Store(0)
-		e.reshard()
-		for i := 1; i <= e.helpers; i++ {
-			e.hwg.Add(1)
-			go e.helperLoop(i)
-		}
-	}
-	e.workersUp = true
-}
-
-// reshard (re)builds the static round-robin kernel shards for the current
-// pool width. Coordinator-only, at a barrier: helpers read e.shards only
-// after observing a barGen bump, which publishes the new slices. The helper
-// count never changes while the pool is up — kernels added late are folded
-// into the existing shards, so they execute in every multi-kernel window
-// just like founding kernels (they may just not add parallelism).
-func (e *Engine) reshard() {
-	w := e.helpers + 1
-	e.shards = make([][]*Kernel, w)
-	for i, k := range e.kernels {
-		e.shards[i%w] = append(e.shards[i%w], k)
-	}
-	e.sharded = len(e.kernels)
-}
-
-// helperLoop is one barrier worker: wait for the coordinator to open a
-// window (a barGen bump), run this shard's kernels that have work inside it,
-// report done. The wait yields for a bounded number of rounds — windows are
-// short — then parks on the condvar so long solo or serialized stretches do
-// not burn a core. The generation bump publishes e.deadline and everything
-// the coordinator wrote before it; barDone publishes this shard's kernel
-// state back.
-func (e *Engine) helperLoop(shard int) {
-	defer e.hwg.Done()
-	seen := uint64(0)
-	for {
-		spins := 0
-		for e.barGen.Load() == seen {
-			if e.barQuit.Load() {
-				return
-			}
-			spins++
-			if spins < e.spin {
-				runtime.Gosched()
-				continue
-			}
-			// Park. sleepers must be raised *before* the gen re-check: both
-			// sides use sequentially consistent atomics, so if the re-check
-			// still sees the old generation, the coordinator's barGen bump is
-			// later in the total order and its sleepers load (later still)
-			// observes the increment and takes the broadcast path. Raising
-			// sleepers after the re-check loses that wakeup — the coordinator
-			// can bump, see sleepers==0, skip the broadcast, and this helper
-			// parks forever. The broadcast itself runs under barMu, so it
-			// cannot fire in the gap between the re-check and Wait.
-			e.barMu.Lock()
-			e.sleepers.Add(1)
-			for e.barGen.Load() == seen && !e.barQuit.Load() {
-				e.barCond.Wait()
-			}
-			e.sleepers.Add(-1)
-			e.barMu.Unlock()
-		}
-		seen = e.barGen.Load()
-		if e.barQuit.Load() {
-			return
-		}
-		dl := e.deadline
-		for _, k := range e.shards[shard] {
-			if t, ok := k.NextEventAt(); ok && t <= dl {
-				k.RunUntil(dl)
-			}
-		}
-		e.barDone.Add(1)
-	}
-}
-
-// runSerial executes the current window's active kernels on the calling
-// goroutine in creation order — the workers<=1 path, and the fallback when
-// the pool would be empty.
-func (e *Engine) runSerial() {
-	for _, k := range e.kernels {
-		if t, ok := k.NextEventAt(); ok && t <= e.deadline {
-			k.RunUntil(e.deadline)
-		}
-	}
-}
+func (e *Engine) Stop() { e.stopped = true }
 
 // stepWindows executes up to budget conservative windows and reports how
 // many ran (fewer only when the simulation went quiescent or was stopped).
 // Each window: deliver the previous window's cross messages, open the window
 // at the globally earliest event (idle stretches are jumped in one step,
 // exactly like the serial kernel), run every kernel with work up to the
-// inclusive edge, barrier. A window with one active kernel runs it on the
-// coordinator; windows with several active kernels release the worker
-// barrier.
+// inclusive edge in creation order, barrier.
 func (e *Engine) stepWindows(budget int) int {
 	ran := 0
 	for ran < budget {
-		if e.stopped.Load() {
+		if e.stopped {
 			return ran
 		}
 		e.flush()
@@ -436,78 +270,19 @@ func (e *Engine) stepWindows(budget int) int {
 			e.stepMerged()
 			continue
 		}
-		// Classify the window: count kernels with work inside it and find
-		// the solo active kernel if there is exactly one.
 		actives := 0
-		var solo *Kernel
 		for _, k := range e.kernels {
 			if t, ok := k.NextEventAt(); ok && t <= e.deadline {
 				actives++
-				solo = k
-			}
-		}
-		e.idleSkips += uint64(len(e.kernels) - actives)
-		if actives == 1 {
-			// Solo window: no other kernel can observe anything before the
-			// next barrier, so run it on the coordinator.
-			solo.RunUntil(e.deadline)
-			continue
-		}
-		e.barriers++
-		if e.workers <= 1 {
-			e.runSerial()
-			continue
-		}
-		e.startWorkers()
-		if e.helpers == 0 {
-			e.runSerial()
-			continue
-		}
-		e.barDone.Store(0)
-		e.barGen.Add(1)
-		// The sleepers check elides the mutex when every helper is spinning.
-		// It is race-free against helpers parking: a helper raises sleepers
-		// before its under-lock gen re-check, so a helper that parks on the
-		// old generation is visible here (see helperLoop).
-		if e.sleepers.Load() > 0 {
-			e.barMu.Lock()
-			e.barCond.Broadcast()
-			e.barMu.Unlock()
-		}
-		for _, k := range e.shards[0] {
-			if t, ok := k.NextEventAt(); ok && t <= e.deadline {
 				k.RunUntil(e.deadline)
 			}
 		}
-		e.waitHelpers()
+		e.idleSkips += uint64(len(e.kernels) - actives)
+		if actives > 1 {
+			e.barriers++
+		}
 	}
 	return ran
-}
-
-// waitHelpers spins until every helper reports the open window done. The
-// wait is normally a few iterations — windows are short and helpers are
-// already running — so it stays a spin, but it is bounded: if helpers stop
-// reporting (a lost goroutine, a torn-down pool, a protocol bug) it panics
-// with the barrier state after barStallTimeout rather than hanging the
-// simulation silently.
-func (e *Engine) waitHelpers() {
-	var slowSince time.Time
-	for spins := 0; e.barDone.Load() != int64(e.helpers); spins++ {
-		if spins < 64 {
-			continue
-		}
-		runtime.Gosched()
-		if spins&1023 != 0 {
-			continue
-		}
-		if slowSince.IsZero() {
-			slowSince = time.Now()
-		} else if time.Since(slowSince) > barStallTimeout {
-			panic(fmt.Sprintf(
-				"sim: window barrier stalled: %d/%d helpers reported (gen %d, sleepers %d, quit %v, window %d)",
-				e.barDone.Load(), e.helpers, e.barGen.Load(), e.sleepers.Load(), e.barQuit.Load(), e.windows))
-		}
-	}
 }
 
 // stepMerged runs one serialized window as an exact global event merge:
@@ -536,7 +311,7 @@ func (e *Engine) stepMerged() {
 // Run executes windows until every partition is quiescent (no pending events
 // and no undelivered cross messages) or Stop is called.
 func (e *Engine) Run() {
-	e.stopped.Store(false)
+	e.stopped = false
 	const chunk = 1 << 30
 	for e.stepWindows(chunk) == chunk {
 	}
@@ -549,44 +324,32 @@ func (e *Engine) Run() {
 // everything executed so far — which is where the partitioned crash sweep
 // injects crashes; see Windows.
 func (e *Engine) RunWindows(n int) int {
-	e.stopped.Store(false)
+	e.stopped = false
 	ran := e.stepWindows(n)
 	e.syncClocks()
 	return ran
 }
 
-// Shutdown tears the deployment down: stops the worker pool and reaps every
-// kernel's parked procs and event pools. Back-to-back deployments in one
-// process previously pinned ~100 MB each, because every proc goroutine left
-// suspended in its last blocking call (plus the event free lists keeping
-// payload buffers reachable) survived the deployment. The engine must be paused at a
+// Shutdown tears the deployment down: reaps every kernel's parked procs and
+// event pools. Back-to-back deployments in one process previously pinned
+// ~100 MB each, because every proc goroutine left suspended in its last
+// blocking call (plus the event free lists keeping payload buffers
+// reachable) survived the deployment. The engine must be paused at a
 // barrier (not running). A shut-down engine may be rescheduled and run
-// again: the next Run/RunWindows restarts the worker pool with fresh barrier
-// state (kernel queues and free lists start empty, as after construction).
+// again (kernel queues and free lists start empty, as after construction).
 func (e *Engine) Shutdown() {
-	e.stopped.Store(true)
-	if e.workersUp {
-		e.barQuit.Store(true)
-		e.barGen.Add(1)
-		e.barMu.Lock()
-		e.barCond.Broadcast()
-		e.barMu.Unlock()
-		e.hwg.Wait()
-		e.workersUp = false
-	}
+	e.stopped = true
 	for _, k := range e.kernels {
 		k.Shutdown()
 	}
 	for i := range e.outboxes {
 		e.outboxes[i] = nil
 	}
-	e.shards, e.sharded = nil, 0
 	e.mergeSrcs, e.mergeHeads = nil, nil
 	e.hooks = nil
 }
 
-// runHooks fires the barrier flush hooks (coordinator context, kernels
-// quiesced).
+// runHooks fires the barrier flush hooks (kernels quiesced).
 func (e *Engine) runHooks() {
 	for _, h := range e.hooks {
 		h()
@@ -615,7 +378,7 @@ func (e *Engine) deliverBox(src int) {
 // canonical order: ascending timestamp, ties by (source partition, emission
 // index). Destination Schedule assigns the tie-breaking sequence numbers in
 // this order, so the resulting execution order is a pure function of the
-// messages' data — independent of how many workers produced them. Each
+// messages' data — independent of the order the kernels ran in. Each
 // source box is nearly sorted already (FIFO egress per endpoint), so the
 // boxes are insertion-sorted in place and k-way merged with ties going to
 // the lowest source index — the same total order a global stable sort of the

@@ -12,7 +12,7 @@ import (
 // timestamp on the destination kernel, idle stretches are jumped in one
 // window, and PostAfterLookahead lands exactly one lookahead out.
 func TestEngineCrossDelivery(t *testing.T) {
-	e := NewEngine(100*time.Nanosecond, 1)
+	e := NewEngine(100 * time.Nanosecond)
 	a, b := e.NewKernel(), e.NewKernel()
 	var got []string
 	a.Schedule(5, func() {
@@ -39,30 +39,28 @@ func TestEngineCrossDelivery(t *testing.T) {
 // timestamps deliver in source-partition order, then emission order, no
 // matter which source emitted first in wall-clock terms.
 func TestEngineCanonicalMergeOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		e := NewEngine(100*time.Nanosecond, workers)
-		a, b, c := e.NewKernel(), e.NewKernel(), e.NewKernel()
-		var got []string
-		rec := func(tag string) func() { return func() { got = append(got, tag) } }
-		// Both sources target c at the same timestamp; b also emits twice.
-		a.Schedule(0, func() { e.Post(a, c, 200, rec("a0")) })
-		b.Schedule(0, func() {
-			e.Post(b, c, 200, rec("b0"))
-			e.Post(b, c, 200, rec("b1"))
-			e.Post(b, c, 150, rec("early"))
-		})
-		e.Run()
-		want := "early,a0,b0,b1"
-		if s := strings.Join(got, ","); s != want {
-			t.Fatalf("workers=%d: merge order = %s, want %s", workers, s, want)
-		}
+	e := NewEngine(100 * time.Nanosecond)
+	a, b, c := e.NewKernel(), e.NewKernel(), e.NewKernel()
+	var got []string
+	rec := func(tag string) func() { return func() { got = append(got, tag) } }
+	// Both sources target c at the same timestamp; b also emits twice.
+	a.Schedule(0, func() { e.Post(a, c, 200, rec("a0")) })
+	b.Schedule(0, func() {
+		e.Post(b, c, 200, rec("b0"))
+		e.Post(b, c, 200, rec("b1"))
+		e.Post(b, c, 150, rec("early"))
+	})
+	e.Run()
+	want := "early,a0,b0,b1"
+	if s := strings.Join(got, ","); s != want {
+		t.Fatalf("merge order = %s, want %s", s, want)
 	}
 }
 
 // TestEnginePostInsideWindowPanics: a cross post below the lookahead bound is
 // a model bug and must fail loudly, not silently reorder.
 func TestEnginePostInsideWindowPanics(t *testing.T) {
-	e := NewEngine(100*time.Nanosecond, 1)
+	e := NewEngine(100 * time.Nanosecond)
 	a, b := e.NewKernel(), e.NewKernel()
 	a.Schedule(50, func() { e.Post(a, b, a.Now(), func() {}) })
 	defer func() {
@@ -213,7 +211,7 @@ func newTraceNodes(n int, seed uint64, mk func(i int) *Kernel) []*traceNode {
 // property test: for node counts 1..5 and several seeds, the merged event
 // trace of the chan/resource/rand workload is byte-identical between a
 // single serial kernel hosting every node and an engine with one kernel per
-// node, at 1, 2 and 4 workers.
+// node.
 func TestEnginePartitionPropertyDeterminism(t *testing.T) {
 	const rounds = 30
 	for nodes := 1; nodes <= 5; nodes++ {
@@ -228,17 +226,15 @@ func TestEnginePartitionPropertyDeterminism(t *testing.T) {
 			serialK.Run()
 			want := mergedTrace(t, serial)
 
-			for _, workers := range []int{1, 2, 4} {
-				e := NewEngine(time.Duration(lookahead), workers)
-				par := newTraceNodes(nodes, seed, func(int) *Kernel { return e.NewKernel() })
-				runTraceWorkload(par, rounds, lookahead, func(src, dst *traceNode, at Time, fn func()) {
-					e.Post(src.k, dst.k, at, fn)
-				})
-				e.Run()
-				if got := mergedTrace(t, par); got != want {
-					t.Fatalf("nodes=%d seed=%d workers=%d: trace diverged from serial\nserial:\n%s\nparallel:\n%s",
-						nodes, seed, workers, want, got)
-				}
+			e := NewEngine(time.Duration(lookahead))
+			par := newTraceNodes(nodes, seed, func(int) *Kernel { return e.NewKernel() })
+			runTraceWorkload(par, rounds, lookahead, func(src, dst *traceNode, at Time, fn func()) {
+				e.Post(src.k, dst.k, at, fn)
+			})
+			e.Run()
+			if got := mergedTrace(t, par); got != want {
+				t.Fatalf("nodes=%d seed=%d: trace diverged from serial\nserial:\n%s\npartitioned:\n%s",
+					nodes, seed, want, got)
 			}
 		}
 	}
@@ -246,17 +242,14 @@ func TestEnginePartitionPropertyDeterminism(t *testing.T) {
 
 // TestEngineCrossStress hammers the window barrier from many kernels at
 // once: every kernel's procs push through local chans, wait on conds via
-// PopTimeout, and fling cross posts at other partitions, with enough workers
-// that windows genuinely overlap. Run under -race (the sim CI job does) this
-// is the proof that parallel mode is race-free; the conservation check
-// proves no message was lost or duplicated at a barrier.
+// PopTimeout, and fling cross posts at other partitions. The conservation
+// check proves no message was lost or duplicated at a barrier.
 func TestEngineCrossStress(t *testing.T) {
 	const (
 		kernels = 8
-		workers = 4
 		msgs    = 400
 	)
-	e := NewEngine(200*time.Nanosecond, workers)
+	e := NewEngine(200 * time.Nanosecond)
 	type part struct {
 		k    *Kernel
 		in   *Chan[int]
@@ -310,7 +303,7 @@ func TestEngineRunWindowsExact(t *testing.T) {
 	const nodes, rounds = 4, 30
 	lookahead := Time(nodes * (nodes + 1) * 16)
 	run := func(seed uint64, step int) (string, uint64) {
-		e := NewEngine(time.Duration(lookahead), 2)
+		e := NewEngine(time.Duration(lookahead))
 		nds := newTraceNodes(nodes, seed, func(int) *Kernel { return e.NewKernel() })
 		runTraceWorkload(nds, rounds, lookahead, func(src, dst *traceNode, at Time, fn func()) {
 			e.Post(src.k, dst.k, at, fn)
@@ -347,10 +340,10 @@ func TestEngineRunWindowsExact(t *testing.T) {
 }
 
 // TestEngineSoloKernelSkipsBarrier pins the solo-window fast path: a single
-// busy kernel beside idle ones never enters the worker barrier, and
+// busy kernel beside idle ones never counts as a barrier window, and
 // idle-skip accounting covers the idle kernels every window.
 func TestEngineSoloKernelSkipsBarrier(t *testing.T) {
-	e := NewEngine(100*time.Nanosecond, 4)
+	e := NewEngine(100 * time.Nanosecond)
 	busy := e.NewKernel()
 	e.NewKernel() // idle
 	e.NewKernel() // idle
@@ -379,7 +372,7 @@ func TestEngineSoloKernelSkipsBarrier(t *testing.T) {
 // destination in canonical order, none lost.
 func TestEngineSoloWindowDeliversInOrder(t *testing.T) {
 	la := Time(100)
-	e := NewEngine(time.Duration(la), 1)
+	e := NewEngine(time.Duration(la))
 	a, b := e.NewKernel(), e.NewKernel()
 	var got []Time
 	// a runs a long solo stretch (b idle), emitting to b mid-stretch.
@@ -410,7 +403,7 @@ func TestEngineSoloWindowDeliversInOrder(t *testing.T) {
 // onto the lagging kernel must still land in every kernel's future — a
 // post from it one lookahead ahead must not arrive in the peer's past.
 func TestEngineRunSyncsClocks(t *testing.T) {
-	e := NewEngine(100, 1)
+	e := NewEngine(100)
 	a, b := e.NewKernel(), e.NewKernel()
 	a.Schedule(10, func() {})
 	b.Schedule(5000, func() {})
@@ -425,5 +418,107 @@ func TestEngineRunSyncsClocks(t *testing.T) {
 	e.Run()
 	if want := Time(5100); got != want {
 		t.Fatalf("post delivered at %v, want %v", got, want)
+	}
+}
+
+// barrierChain schedules a self-rescheduling event chain on k: one event at
+// each of start, start+step, ... (steps of them), all at times shared with
+// the other kernels' chains so every window has several active kernels.
+// Each firing appends the kernel's clock to *trace.
+func barrierChain(k *Kernel, start, step Time, steps int, trace *[]Time) {
+	var tick func()
+	left := steps
+	tick = func() {
+		*trace = append(*trace, k.Now())
+		left--
+		if left > 0 {
+			k.Schedule(k.Now()+step, tick)
+		}
+	}
+	k.Schedule(start, tick)
+}
+
+// TestEngineRestartAfterShutdown: a shut-down engine can be rescheduled and
+// run again, and its multi-kernel windows still execute every kernel.
+func TestEngineRestartAfterShutdown(t *testing.T) {
+	const kernels, steps = 4, 50
+	e := NewEngine(100 * time.Nanosecond)
+	traces := make([][]Time, kernels)
+	for i := 0; i < kernels; i++ {
+		barrierChain(e.NewKernel(), 0, 1000, steps, &traces[i])
+	}
+	e.Run()
+	if got := e.Fired(); got != kernels*steps {
+		t.Fatalf("first run fired = %d, want %d", got, kernels*steps)
+	}
+	e.Shutdown()
+
+	// Reschedule aligned chains on the surviving kernels and run again.
+	// Kernel clocks kept their final values, so restart activity begins
+	// past them.
+	start := Time(0)
+	for _, k := range e.Kernels() {
+		if k.Now() > start {
+			start = k.Now()
+		}
+	}
+	start += 1000
+	for i, k := range e.Kernels() {
+		barrierChain(k, start, 1000, steps, &traces[i])
+	}
+	before := e.Barriers()
+	e.Run()
+	if got := e.Fired(); got != 2*kernels*steps {
+		t.Fatalf("after restart fired = %d, want %d", got, 2*kernels*steps)
+	}
+	if e.Barriers() == before {
+		t.Fatal("restarted run had no multi-kernel window; restart untested")
+	}
+	e.Shutdown()
+}
+
+// TestEngineLateKernelJoinsShards: a kernel created at a window barrier
+// after the run started is dispatched in every later window exactly as if
+// it had been created up front (same windows, same per-kernel event times).
+func TestEngineLateKernelJoinsShards(t *testing.T) {
+	type result struct {
+		windows uint64
+		fired   uint64
+		traces  [][]Time
+	}
+	const warm = 5
+	run := func(late bool) result {
+		e := NewEngine(100 * time.Nanosecond)
+		traces := make([][]Time, 3)
+		barrierChain(e.NewKernel(), 0, 1000, warm+20, &traces[0])
+		barrierChain(e.NewKernel(), 0, 1000, warm+20, &traces[1])
+		third := func() { barrierChain(e.NewKernel(), Time(warm)*1000, 1000, 20, &traces[2]) }
+		if !late {
+			third()
+		}
+		if n := e.RunWindows(warm); n != warm {
+			t.Fatalf("late=%v: warmup ran %d windows, want %d", late, n, warm)
+		}
+		if late {
+			third()
+		}
+		e.Run()
+		e.Shutdown()
+		return result{e.Windows(), e.Fired(), traces}
+	}
+
+	want := run(false)
+	got := run(true)
+	if n := len(got.traces[2]); n != 20 {
+		t.Fatalf("late kernel ran %d events, want 20", n)
+	}
+	if got.windows != want.windows || got.fired != want.fired {
+		t.Fatalf("windows/fired = %d/%d, founding-kernel run = %d/%d",
+			got.windows, got.fired, want.windows, want.fired)
+	}
+	for ki := range want.traces {
+		if fmt.Sprint(got.traces[ki]) != fmt.Sprint(want.traces[ki]) {
+			t.Fatalf("kernel %d trace %v, founding-kernel run %v", ki, got.traces[ki], want.traces[ki])
+		}
 	}
 }

@@ -159,6 +159,9 @@ type Kernel struct {
 	// fired event is the same across runs, so "crash after event i" is a
 	// deterministic, enumerable injection point.
 	fired uint64
+	// switches counts proc resumes: every transfer of control from the
+	// kernel onto a proc's stack (see schedule).
+	switches uint64
 
 	// current proc, nil while the kernel itself runs an event callback.
 	cur *Proc
@@ -301,6 +304,10 @@ func (k *Kernel) Procs() int { return k.procs }
 
 // Fired reports how many events have executed since New.
 func (k *Kernel) Fired() uint64 { return k.fired }
+
+// Switches reports how many times the kernel resumed a proc since New. A
+// proc's first run and every wake-up after a blocking call count one each.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule books fn at time t, drawing the event from the free list.
 func (k *Kernel) scheduleEvent(t Time, fn func()) *event {

@@ -120,6 +120,7 @@ func (k *Kernel) schedule(p *Proc) {
 		return
 	}
 	k.cur = p
+	k.switches++
 	p.next()
 	if pp := p.panicked; pp != nil {
 		p.panicked = nil
