@@ -20,10 +20,11 @@ type crashcheckOptions struct {
 	torn     int    // additional mid-persist (torn-write) points per cell
 	seed     int64
 	parallel int
-	// ackBug re-introduces the §2.4 premature-ack bug (flush ACK at DMA
-	// placement instead of the durability horizon) so the sweep's catch —
-	// lost acked writes with a minimal reproduction — can be demonstrated.
-	ackBug bool
+	// mutant seeds a known bug class (crashcheck.Config.Mutant): "ackbug"
+	// re-introduces the §2.4 premature-ack bug (flush ACK at DMA placement
+	// instead of the durability horizon) so the sweep's catch — lost acked
+	// writes with a minimal reproduction — can be demonstrated.
+	mutant string
 	// objSize overrides the per-request object size (0 = harness default).
 	// Large objects widen the placement→durability gap the ack bug exposes.
 	objSize int
@@ -55,6 +56,17 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 		fmt.Fprintf(os.Stderr, "crashcheck: no family matches -family %q / -mix %q\n", o.family, o.mix)
 		os.Exit(2)
 	}
+	newConfig := func(c cell) crashcheck.Config {
+		cfg := crashcheck.DefaultConfig(c.kind, c.mix, o.seed)
+		cfg.Points = o.points
+		cfg.TornPoints = o.torn
+		cfg.Mutant = o.mutant
+		if o.objSize > 0 {
+			cfg.ObjSize = o.objSize
+		}
+		return cfg
+	}
+	exitIfInvalid(newConfig(cells[0]).Validate())
 
 	workers := o.parallel
 	if workers <= 0 || workers > len(cells) {
@@ -68,14 +80,7 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 		go func() {
 			defer wg.Done()
 			for idx := range next {
-				cfg := crashcheck.DefaultConfig(cells[idx].kind, cells[idx].mix, o.seed)
-				cfg.Points = o.points
-				cfg.TornPoints = o.torn
-				cfg.AckBeforeDurable = o.ackBug
-				if o.objSize > 0 {
-					cfg.ObjSize = o.objSize
-				}
-				results[idx] = crashcheck.Sweep(cfg)
+				results[idx] = crashcheck.Sweep(newConfig(cells[idx]))
 			}
 		}()
 	}
@@ -102,8 +107,8 @@ func runCrashcheck(w io.Writer, o crashcheckOptions) int {
 		if min := res.Minimal(); min != nil {
 			cmd := fmt.Sprintf("-crashcheck -family %s -mix %s -seed %d -points %d -torn %d",
 				strings.TrimSuffix(min.Kind.String(), "-RPC"), min.Mix, min.Seed, o.points, o.torn)
-			if o.ackBug {
-				cmd += " -ackbug"
+			if o.mutant != "" {
+				cmd += " -mutant " + o.mutant
 			}
 			if o.objSize > 0 {
 				cmd += fmt.Sprintf(" -objsize %d", o.objSize)
@@ -138,6 +143,7 @@ func clusterCrashcheckMain(seed int64, points, shards, replicas, objSize int, mu
 		cfg.ObjSize = objSize
 	}
 	cfg.Mutant = mutant
+	exitIfInvalid(cfg.Validate())
 	res := crashcheck.PartitionedSweep(cfg)
 	fmt.Printf("cluster %dx%d seed=%-4d points=%-4d windows=%-6d failovers=%-4d resyncs=%-4d replays=%-5d shipped=%-5d pmfull=%-4d violations=%d\n",
 		cfg.Shards, cfg.Replicas, res.Seed, res.Points, res.Windows,
@@ -193,6 +199,7 @@ func pmpoolCrashcheckMain(seed int64, points, torn int, family, mutant string) {
 		cfg.TornPoints = torn
 	}
 	cfg.Mutant = mutant
+	exitIfInvalid(cfg.Validate())
 	res := crashcheck.PMPoolSweep(cfg)
 	fmt.Printf("pmpool %-13v seed=%-4d points=%-4d events=%-6d replays=%-5d violations=%d\n",
 		res.Kind, res.Seed, res.Points, res.Events, res.Replayed, res.ViolationCount)
@@ -214,6 +221,15 @@ func pmpoolCrashcheckMain(seed int64, points, torn int, family, mutant string) {
 	if res.ViolationCount > 0 {
 		fmt.Fprintf(os.Stderr, "crashcheck: pmpool sweep violated pool crash invariants\n")
 		os.Exit(1)
+	}
+}
+
+// exitIfInvalid exits 2 on a rejected sweep configuration (for example a
+// mutant the selected sweep does not implement), like any bad flag value.
+func exitIfInvalid(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 }
 

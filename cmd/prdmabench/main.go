@@ -13,7 +13,7 @@
 //	prdmabench -fig 8 -cpuprofile cpu.pprof   # profile the harness itself
 //	prdmabench -crashcheck         # crash-point sweep over every durable RPC family
 //	prdmabench -crashcheck -family WFlush -points 50 -torn 10   # short smoke sweep
-//	prdmabench -crashcheck -ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
+//	prdmabench -crashcheck -mutant ackbug -objsize 16384   # demo: catch the §2.4 premature-ack bug (exit 1)
 //	prdmabench -cluster            # sharded replicated KV: failover figure (4 shards x 3 replicas)
 //	prdmabench -cluster -shards 8 -replicas 5 -scale full   # bigger deployment
 //	prdmabench -crashcheck -cluster -points 20   # window-barrier crash sweep over the cluster failover/resync path
@@ -50,7 +50,8 @@ import (
 // validateModes rejects top-level mode combinations instead of silently
 // running one and ignoring the other: every pair of driver modes is
 // mutually exclusive, except -crashcheck with -cluster or -pmpool, which
-// select *which* crash sweep runs.
+// select *which* crash sweep runs. -mutant is rejected outside the sweeps
+// that seed it.
 func validateModes(flagSet map[string]bool) error {
 	conflicts := [][2]string{
 		{"pmpool", "matrix"}, {"pmpool", "parscale"}, {"pmpool", "cluster"},
@@ -65,6 +66,9 @@ func validateModes(flagSet map[string]bool) error {
 		if flagSet[c[0]] && flagSet[c[1]] {
 			return fmt.Errorf("-%s and -%s are mutually exclusive (run them separately)", c[0], c[1])
 		}
+	}
+	if flagSet["mutant"] && !flagSet["crashcheck"] && !flagSet["matrix"] {
+		return fmt.Errorf("-mutant seeds a bug for -crashcheck or -matrix only")
 	}
 	return nil
 }
@@ -87,7 +91,6 @@ func main() {
 	mix := flag.String("mix", "", "crashcheck: restrict to one traffic mix (writes|readwrite|batch)")
 	points := flag.Int("points", 300, "crashcheck: event-boundary crash points per family/mix cell")
 	torn := flag.Int("torn", 40, "crashcheck: additional mid-persist (torn-write) crash points per cell")
-	ackbug := flag.Bool("ackbug", false, "crashcheck: re-introduce the §2.4 premature-ack bug to demonstrate the sweep catching it (expect exit 1)")
 	objsize := flag.Int("objsize", 0, "crashcheck: per-request object bytes (0 = harness default)")
 	clusterRun := flag.Bool("cluster", false, "run the sharded replicated-KV failover figure (or, with -crashcheck, the cluster crash-point sweep)")
 	shards := flag.Int("shards", 4, "cluster: number of shard groups")
@@ -97,7 +100,7 @@ func main() {
 	matrixRun := flag.Bool("matrix", false, "run the adversarial fault x YCSB workload matrix (cluster crash-point sweep per cell)")
 	faults := flag.String("faults", "", "matrix: comma-separated adversary names (default: every builtin; see -matrix -faults help)")
 	workloads := flag.String("workloads", "", "matrix: YCSB workload letters, e.g. ABF (default: A-F)")
-	mutant := flag.String("mutant", "", "matrix / cluster crashcheck / pmpool crashcheck: seed a known bug class (ackbug|resurrect|leak); the sweep must then fail (exit 1)")
+	mutant := flag.String("mutant", "", "crashcheck / matrix: seed a known bug class the sweep must then catch (exit 1): ackbug for -crashcheck; ackbug|resurrect for -crashcheck -cluster and -matrix; leak for -crashcheck -pmpool")
 	pmpoolRun := flag.Bool("pmpool", false, "run the remote PM pool figures (or, with -crashcheck, the pool crash-point sweep)")
 	flag.Parse()
 	flagSet := map[string]bool{}
@@ -187,7 +190,7 @@ func main() {
 			torn:     *torn,
 			seed:     int64(*seed),
 			parallel: *parallel,
-			ackBug:   *ackbug,
+			mutant:   *mutant,
 			objSize:  *objsize,
 		})
 		// Reached only on a clean sweep (violations exit nonzero above).

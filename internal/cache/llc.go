@@ -10,8 +10,6 @@
 package cache
 
 import (
-	"time"
-
 	"prdma/internal/pmem"
 	"prdma/internal/sim"
 )
@@ -140,12 +138,6 @@ func (c *LLC) Clflush(at sim.Time, addr int64, n int) sim.Time {
 func (c *LLC) ClflushSync(p *sim.Proc, addr int64, n int) {
 	done := c.Clflush(p.K.Now(), addr, n)
 	p.Sleep(done.Sub(p.K.Now()))
-}
-
-// FlushCost estimates the CPU-path persist time for n dirty bytes without
-// performing the flush (used by timing-only fast paths).
-func (c *LLC) FlushCost(n int) time.Duration {
-	return c.PM.PersistCost(n, pmem.CPU)
 }
 
 // Crash discards all dirty lines: they were volatile.

@@ -91,10 +91,6 @@ type Replica struct {
 	Restarts  int
 }
 
-// Alive reports whether the replica host is up (the ground truth the
-// failure detector polls).
-func (r *Replica) Alive() bool { return r.alive }
-
 // wroteRec is one acknowledged write in a gateway's record: the latest
 // payload image and completion time per key — a fully deduplicated redo
 // log the controller ships to a rejoining replica.

@@ -30,7 +30,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"prdma/internal/fabric"
@@ -91,10 +93,11 @@ type Config struct {
 	Pipeline int
 	// ObjSize is the object (and write payload) size in bytes.
 	ObjSize int
-	// AckBeforeDurable re-introduces the §2.4 premature-ack bug in the
-	// NIC (flush ACK at DMA placement instead of the durability
-	// horizon). The sweep must then report lost acked writes.
-	AckBeforeDurable bool
+	// Mutant seeds a known bug class the sweep must catch. Supported:
+	// "ackbug" (the §2.4 premature-ack bug: flush ACK at DMA placement
+	// instead of the durability horizon), which must surface as lost
+	// acked writes.
+	Mutant string
 	// Restart is the server restart latency after a crash.
 	Restart time.Duration
 	// Retransfer is the client's call timeout / retry interval.
@@ -117,6 +120,20 @@ func DefaultConfig(kind rpc.Kind, mix Mix, seed int64) Config {
 		Restart:          2 * time.Millisecond,
 		Retransfer:       500 * time.Microsecond,
 	}
+}
+
+// Validate rejects a mutant the serial sweep does not implement: seeding
+// nothing and reporting a clean sweep would pass the detection check
+// silently.
+func (c Config) Validate() error { return checkMutant("crashcheck", c.Mutant, "ackbug") }
+
+// checkMutant reports an error unless mutant is empty or one of the bug
+// classes the named sweep implements.
+func checkMutant(sweep, mutant string, known ...string) error {
+	if mutant == "" || slices.Contains(known, mutant) {
+		return nil
+	}
+	return fmt.Errorf("%s: unknown mutant %q (%s)", sweep, mutant, strings.Join(known, ", "))
 }
 
 // Point identifies one crash placement.
@@ -297,7 +314,7 @@ func newRun(cfg Config, withMonitor bool) *run {
 	k := sim.New()
 	net := fabric.New(k, fabric.DefaultParams(), uint64(cfg.Seed)|1)
 	np := rnic.DefaultParams()
-	if cfg.AckBeforeDurable {
+	if cfg.Mutant == "ackbug" {
 		// The premature-ack knob only exists on the native flush path;
 		// the read-after-write emulation has no flush ACK to misplace.
 		np.EmulateFlush = false
@@ -312,9 +329,6 @@ func newRun(cfg Config, withMonitor bool) *run {
 	rcfg := rpc.DefaultConfig()
 	rcfg.Workers = 1 // single applier keeps per-key apply order = seq order
 	rcfg.ProcessingTime = 3 * time.Microsecond
-	// Sparse flyweights are forced off under the sweep: torn-write probes
-	// inspect raw entry bytes, which a sparse gap leaves unmaterialized.
-	rcfg.SparsePayloads = false
 	// A small ring forces wraps, lazy control-word lag, and ring-full
 	// throttling — the recovery states worth crashing into.
 	rcfg.LogBytes = int64(16 * (cfg.ObjSize + 64))
@@ -521,6 +535,9 @@ func (r *run) verify() []string {
 // Sweep runs the reference execution to size the event space, then
 // replays the workload once per crash point and collects violations.
 func Sweep(cfg Config) Result {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	res := Result{Kind: cfg.Kind, Mix: cfg.Mix, Seed: cfg.Seed}
 
 	// Crash-free reference: measures the event count and proves the
@@ -543,7 +560,7 @@ func Sweep(cfg Config) Result {
 	refSpan := ref.k.Now().Sub(sim.Time(0))
 	ref.k.Shutdown()
 
-	points := pickPoints(cfg, res.Events)
+	points := pickPoints(cfg, eventSalt, res.Events)
 	res.Points = len(points)
 	for _, pt := range points {
 		r, at := runPoint(cfg, pt, refSpan)
@@ -556,11 +573,19 @@ func Sweep(cfg Config) Result {
 	return res
 }
 
-// pickPoints selects distinct crash points across the reference event
-// space: Points event boundaries, TornPoints mid-persist offsets, and a
-// second crash armed every SecondCrashEvery-th point.
-func pickPoints(cfg Config, events uint64) []Point {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5E3779B97F4A7C15))
+// Seed salts for pickPoints: the event-boundary sweeps (serial and pmpool)
+// and the cluster sweep's window boundaries draw from distinct streams.
+const (
+	eventSalt  = 0x5E3779B97F4A7C15
+	windowSalt = 0x9A27170
+)
+
+// pickPoints selects distinct crash points across a reference run's
+// coordinate space (events, or windows for the cluster sweep): Points
+// boundaries, TornPoints mid-persist offsets, and a second crash armed
+// every SecondCrashEvery-th point. salt picks the rng stream.
+func pickPoints(cfg Config, salt int64, events uint64) []Point {
+	rng := rand.New(rand.NewSource(cfg.Seed ^ salt))
 	lo := uint64(20)
 	if events <= lo+2 {
 		lo = 1

@@ -1,6 +1,7 @@
 package crashcheck
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestAckBeforeDurableCaught(t *testing.T) {
 			cfg.ObjSize = 16384
 			cfg.Points = 120
 			cfg.TornPoints = 40
-			cfg.AckBeforeDurable = true
+			cfg.Mutant = "ackbug"
 			res := Sweep(cfg)
 			if res.ViolationCount == 0 {
 				t.Fatalf("premature-ack bug not caught over %d points (%d events)", res.Points, res.Events)
@@ -146,5 +147,56 @@ func TestPointDeterminism(t *testing.T) {
 	}
 	if a.replayed != b.replayed {
 		t.Fatalf("replay counts diverged: %d vs %d", a.replayed, b.replayed)
+	}
+}
+
+// TestSweepsRejectUnknownMutants pins that no sweep passes a mutant it does
+// not implement: seeding nothing would report a clean sweep and let a
+// detection check pass silently. Validate rejects the name, and the sweep
+// itself refuses to run.
+func TestSweepsRejectUnknownMutants(t *testing.T) {
+	sweeps := []struct {
+		name  string
+		known []string
+		setup func(mutant string) (validate func() error, sweep func())
+	}{
+		{"serial", []string{"ackbug"}, func(m string) (func() error, func()) {
+			cfg := DefaultConfig(rpc.WFlushRPC, MixWrites, 1)
+			cfg.Mutant = m
+			return cfg.Validate, func() { Sweep(cfg) }
+		}},
+		{"pmpool", []string{"leak"}, func(m string) (func() error, func()) {
+			cfg := DefaultPMPoolConfig(rpc.WFlushRPC, 1)
+			cfg.Mutant = m
+			return cfg.Validate, func() { PMPoolSweep(cfg) }
+		}},
+		{"cluster", []string{"ackbug", "resurrect"}, func(m string) (func() error, func()) {
+			cfg := DefaultPartitionedConfig(1)
+			cfg.Mutant = m
+			return cfg.Validate, func() { PartitionedSweep(cfg) }
+		}},
+	}
+	for _, s := range sweeps {
+		for _, m := range []string{"", "ackbug", "resurrect", "leak", "typo"} {
+			validate, sweep := s.setup(m)
+			err := validate()
+			if m == "" || slices.Contains(s.known, m) {
+				if err != nil {
+					t.Errorf("%s: mutant %q rejected: %v", s.name, m, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s: unimplemented mutant %q accepted", s.name, m)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: sweep ran with unimplemented mutant %q", s.name, m)
+					}
+				}()
+				sweep()
+			}()
+		}
 	}
 }

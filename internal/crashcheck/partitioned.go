@@ -34,7 +34,6 @@ package crashcheck
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -88,6 +87,11 @@ func DefaultPartitionedConfig(seed int64) PartitionedConfig {
 		Replicas:         3,
 		ObjSize:          64,
 	}
+}
+
+// Validate rejects a mutant the cluster sweep does not implement.
+func (c PartitionedConfig) Validate() error {
+	return checkMutant("cluster crashcheck", c.Mutant, "ackbug", "resurrect")
 }
 
 // ClusterViolation is one broken cluster invariant at one crash point.
@@ -334,6 +338,9 @@ func (r *pRun) counters(res *PartitionedResult) {
 // PartitionedSweep runs the crash-free reference to size the window space,
 // then replays the workload once per window-boundary crash point.
 func PartitionedSweep(cfg PartitionedConfig) PartitionedResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	res := PartitionedResult{Seed: cfg.Seed}
 	horizonFrom := func(t sim.Time) sim.Time { return t.Add(120 * time.Millisecond) }
 
@@ -363,7 +370,9 @@ func PartitionedSweep(cfg PartitionedConfig) PartitionedResult {
 	record(ref, Point{}, ref.c.Now(), ref.verify())
 	ref.c.Eng.Shutdown()
 
-	points := pickPartitionedPoints(cfg, res.Windows)
+	points := pickPoints(Config{
+		Seed: cfg.Seed, Points: cfg.Points, SecondCrashEvery: cfg.SecondCrashEvery,
+	}, windowSalt, res.Windows)
 	res.Points = len(points)
 	for _, pt := range points {
 		r := newPartitionedRun(cfg)
@@ -398,41 +407,4 @@ func PartitionedSweep(cfg PartitionedConfig) PartitionedResult {
 		r.c.Eng.Shutdown()
 	}
 	return res
-}
-
-// pickPartitionedPoints samples distinct window boundaries across the
-// reference load's window space.
-func pickPartitionedPoints(cfg PartitionedConfig, windows uint64) []Point {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x9A27170))
-	lo := uint64(20)
-	if windows <= lo+2 {
-		lo = 1
-	}
-	span := int64(windows - lo)
-	if span <= 0 {
-		span = 1
-	}
-	seen := make(map[uint64]bool)
-	var points []Point
-	n := cfg.Points
-	if uint64(n) > uint64(span) {
-		n = int(span)
-	}
-	for len(points) < n {
-		w := lo + uint64(rng.Int63n(span))
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		points = append(points, Point{Event: w})
-	}
-	sort.Slice(points, func(i, j int) bool { return points[i].Event < points[j].Event })
-	if cfg.SecondCrashEvery > 0 {
-		for i := range points {
-			if (i+1)%cfg.SecondCrashEvery == 0 {
-				points[i].SecondCrash = true
-			}
-		}
-	}
-	return points
 }

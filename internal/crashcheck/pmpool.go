@@ -61,6 +61,9 @@ func DefaultPMPoolConfig(kind rpc.Kind, seed int64) PMPoolConfig {
 	}
 }
 
+// Validate rejects a mutant the pool sweep does not implement.
+func (c PMPoolConfig) Validate() error { return checkMutant("pmpool crashcheck", c.Mutant, "leak") }
+
 // pmpoolCycle is one precomputed allocation lifecycle. Every 8th cycle is
 // abandoned (the lease reclaim must collect it); every 7th is kept live to
 // the end of the run (its contents must survive every crash).
@@ -132,7 +135,6 @@ func newPMPoolRun(cfg PMPoolConfig, withMonitor bool) *pmpoolRun {
 
 	rcfg := rpc.DefaultConfig()
 	rcfg.ProcessingTime = 3 * time.Microsecond
-	rcfg.SparsePayloads = false
 	// A small ring forces wraps and ring-full throttling during the sweep.
 	rcfg.LogBytes = 16 * (1024 + 64)
 
@@ -373,6 +375,9 @@ func (r *pmpoolRun) verify() []string {
 // PMPoolSweep runs the crash-free reference to size the event space, then
 // replays the pool workload once per crash point.
 func PMPoolSweep(cfg PMPoolConfig) Result {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	res := Result{Kind: cfg.Kind, Mix: MixWrites, Seed: cfg.Seed}
 
 	// Crash-free reference. The lease renewer and reclaimer poll forever,
@@ -405,7 +410,7 @@ func PMPoolSweep(cfg PMPoolConfig) Result {
 	points := pickPoints(Config{
 		Seed: cfg.Seed, Points: cfg.Points,
 		TornPoints: cfg.TornPoints, SecondCrashEvery: cfg.SecondCrashEvery,
-	}, res.Events)
+	}, eventSalt, res.Events)
 	res.Points = len(points)
 	for _, pt := range points {
 		r, at := runPMPoolPoint(cfg, pt, refSpan)

@@ -25,7 +25,7 @@ func TestSettleBudget(t *testing.T) {
 				events := ref.k.Fired()
 				refSpan := ref.k.Now().Sub(sim.Time(0))
 				ref.k.Shutdown()
-				for _, pt := range pickPoints(cfg, events) {
+				for _, pt := range pickPoints(cfg, eventSalt, events) {
 					r, _ := runPoint(cfg, pt, refSpan)
 					if post := r.k.Fired() - r.crashFired; post > 2*events {
 						t.Errorf("point {%v}: %d events after the crash, want <= 2 × %d reference events", pt, post, events)

@@ -43,12 +43,6 @@ func DefaultParams() Params {
 // ahead without risk (see sim.Engine).
 func (p Params) Lookahead() time.Duration { return p.Propagation }
 
-// Transferable is implemented by payloads that can cross between engine
-// partitions: CloneForTransfer returns a deep copy owned by nobody (no pools,
-// no refcounts), safe for the destination partition to read while the source
-// reuses the original's buffers.
-type Transferable interface{ CloneForTransfer() interface{} }
-
 // Message is one unit of wire transfer. Payload is opaque to the fabric.
 type Message struct {
 	From, To string
@@ -160,7 +154,7 @@ func (n *Network) Attach(name string, handler func(at sim.Time, m *Message)) *En
 
 // AttachOn creates an endpoint whose state lives on kernel k — one partition
 // of a sim.Engine when the deployment is split across kernels. Sends between
-// endpoints on different kernels deep-copy Transferable payloads and deliver
+// endpoints on different kernels clone TransferPooled payloads and deliver
 // through the engine barrier; everything else is identical to Attach.
 // Busy-network queueing and DropProb loss draw from the network's single
 // rng, whose consumption order would depend on partition interleaving, so
@@ -197,9 +191,6 @@ func (n *Network) AttachOn(k *sim.Kernel, name string, handler func(at sim.Time,
 	n.endpoints[name] = e
 	return e
 }
-
-// SetHandler replaces the arrival handler (used when a NIC restarts).
-func (e *Endpoint) SetHandler(h func(at sim.Time, m *Message)) { e.handler = h }
 
 // Up reports whether the endpoint accepts traffic.
 func (e *Endpoint) Up() bool { return e.up }

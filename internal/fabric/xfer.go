@@ -9,10 +9,11 @@ package fabric
 
 import "prdma/internal/sim"
 
-// TransferPooled is the recycling counterpart of Transferable. The clone it
-// returns must be safe for the destination partition while the source reuses
-// the original, like CloneForTransfer — but it may reuse `prev`, the clone
-// recycled from this slab slot's previous crossing, instead of allocating.
+// TransferPooled is implemented by payloads that can cross between engine
+// partitions. The clone it returns must be safe for the destination
+// partition while the source reuses the original's buffers, but it may
+// reuse `prev`, the clone recycled from this slab slot's previous crossing,
+// instead of allocating. Other payloads cross as-is.
 // The returned clone must implement TransferRef, and must call `release`
 // exactly once when the receiver drops its last reference: that is what
 // parks the envelope (and with it the clone, via env.msg.Payload) for reuse.
@@ -96,9 +97,6 @@ func (e *Endpoint) postCross(dst *Endpoint, arrive sim.Time, to string, size int
 	case TransferPooled:
 		env.pooled = true
 		env.msg.Payload = p.CloneForTransferPooled(env.msg.Payload, env.release)
-	case Transferable:
-		env.pooled = false
-		env.msg.Payload = p.CloneForTransfer()
 	default:
 		env.pooled = false
 		env.msg.Payload = payload

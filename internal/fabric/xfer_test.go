@@ -34,10 +34,8 @@ func (p *xferPayload) DropTransferRef() {
 	}
 }
 
-// plainPayload exercises the non-pooled Transferable fallback.
+// plainPayload implements no clone interface: it crosses as-is.
 type plainPayload struct{ v int }
-
-func (p *plainPayload) CloneForTransfer() interface{} { return &plainPayload{v: p.v} }
 
 // xferPair is a two-partition deployment with a cross ping-pong workload:
 // a sends to b, b's handler replies to a, each hop paced by the propagation
@@ -117,9 +115,9 @@ func TestCrossTransferAllocFree(t *testing.T) {
 	}
 }
 
-// TestCrossTransferPlainFallback checks the non-pooled Transferable path
-// still deep-copies per crossing and delivers correctly through the slab
-// envelope (the envelope recycles at delivery; the clone is GC-owned).
+// TestCrossTransferPlainFallback checks that a payload implementing no
+// clone interface crosses as-is through the slab envelope, which recycles
+// at delivery.
 func TestCrossTransferPlainFallback(t *testing.T) {
 	var last *plainPayload
 	p := DefaultParams()
@@ -132,17 +130,16 @@ func TestCrossTransferPlainFallback(t *testing.T) {
 	// Both sends run as events on a (cross posts must come from inside the
 	// simulation); the gap between them spans several windows so the first
 	// envelope is parked and reclaimed before the second send.
-	src := &plainPayload{v: 41}
+	src1, src2 := &plainPayload{v: 41}, &plainPayload{v: 42}
 	var first *plainPayload
-	ka.Schedule(0, func() { a.SendPooled("b", 64, src, nil) })
+	ka.Schedule(0, func() { a.SendPooled("b", 64, src1, nil) })
 	ka.Schedule(5000, func() {
 		first = last
-		src.v = 42
-		a.SendPooled("b", 64, src, nil)
+		a.SendPooled("b", 64, src2, nil)
 	})
 	e.Run()
-	if first == nil || first == src || first.v != 41 || last == first || last.v != 42 {
-		t.Fatalf("plain fallback: first=%+v last=%+v (src %p)", first, last, src)
+	if first != src1 || last != src2 {
+		t.Fatalf("plain fallback: first=%p last=%p, want %p %p", first, last, src1, src2)
 	}
 	if hits, misses := n.XferSlabStats(); hits != 1 || misses != 1 {
 		t.Fatalf("slab stats hits=%d misses=%d, want 1/1 (envelope reused even for plain payloads)", hits, misses)

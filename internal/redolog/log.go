@@ -217,9 +217,6 @@ func New(k *sim.Kernel, pm *pmem.Device, base, size int64) *Log {
 // Base returns the region base address.
 func (l *Log) Base() int64 { return l.base }
 
-// Capacity returns the entry-area size in bytes.
-func (l *Log) Capacity() int64 { return l.size }
-
 // Outstanding returns the number of appended-but-unconsumed entries, the
 // quantity the paper's back-pressure threshold watches.
 func (l *Log) Outstanding() int { return len(l.bySeq) }
@@ -581,22 +578,6 @@ func (l *Log) Recover(p *sim.Proc) []Entry {
 	done := l.persistCtrl(p.K.Now())
 	p.Sleep(done.Sub(p.K.Now()))
 	return out
-}
-
-// Accounting is a snapshot of the ring's volatile cursors for tests and
-// invariant checks.
-type Accounting struct {
-	Used, DurUsed, Tail int64
-	WindowLen, Live     int
-	NextSeq             uint64
-}
-
-// Snapshot returns the current accounting state.
-func (l *Log) Snapshot() Accounting {
-	return Accounting{
-		Used: l.used, DurUsed: l.durUsed, Tail: l.tail,
-		WindowLen: len(l.window), Live: len(l.bySeq), NextSeq: l.nextSeq,
-	}
 }
 
 // CheckAccounting verifies the ring's cursors against a from-scratch

@@ -34,11 +34,6 @@ type Store struct {
 	// verBuf is the scratch for the guard's PM version read-back.
 	verBuf [4]byte
 
-	// sparseBuf is the scratch that materializes sparse-flyweight payloads
-	// before they are persisted; PersistSync outlives the device's use of
-	// it, so one buffer per store suffices.
-	sparseBuf []byte
-
 	// Reads/Writes/Scans count applied operations; StaleDrops counts
 	// version-guarded writes rejected as older than the resident object.
 	Reads, Writes, Scans int64
@@ -116,11 +111,7 @@ func (s *Store) ApplyFromBuffer(p *sim.Proc, req *Request) []byte {
 		}
 		s.Writes++
 		s.H.Memcpy(p, req.Size)
-		payload := req.Payload
-		if req.Sparse.Len > 0 {
-			payload = s.materialize(req.Sparse)
-		}
-		s.H.PM.PersistSync(p, addr, req.Size, payload, pmem.CPU)
+		s.H.PM.PersistSync(p, addr, req.Size, req.Payload, pmem.CPU)
 		return nil
 	case OpScan:
 		s.Scans++
@@ -136,16 +127,6 @@ func (s *Store) ApplyFromBuffer(p *sim.Proc, req *Request) []byte {
 		}
 		return s.H.PM.ReadSync(p, addr, req.Size)
 	}
-}
-
-// ApplyFromLog executes req whose payload is already durable in the redo
-// log (the durable-RPC path): writes copy log→object and persist; the
-// request was complete from the sender's perspective long before this runs.
-func (s *Store) ApplyFromLog(p *sim.Proc, req *Request) []byte {
-	// The mechanics are identical to ApplyFromBuffer — what differs is
-	// *when* it runs (off the sender's critical path) and that the payload
-	// source is durable.
-	return s.ApplyFromBuffer(p, req)
 }
 
 // stale applies the version guard (see VersionAt): it reports whether req
@@ -205,17 +186,6 @@ func (s *Store) readRange(p *sim.Proc, req *Request) []byte {
 		out = append(out, s.H.PM.ReadSync(p, addr, req.Size)...)
 	}
 	return out
-}
-
-// materialize expands a sparse flyweight into the store's scratch buffer,
-// valid until the next call (PersistSync blocks past the device's use).
-func (s *Store) materialize(sp pmem.SparsePayload) []byte {
-	if cap(s.sparseBuf) < sp.Len {
-		s.sparseBuf = make([]byte, sp.Len)
-	}
-	b := s.sparseBuf[:sp.Len]
-	sp.Materialize(b)
-	return b
 }
 
 // readTiming pays a media read's latency without materializing contents.

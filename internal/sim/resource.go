@@ -86,34 +86,3 @@ func (c CostModel) Cost(n int) time.Duration {
 	}
 	return d
 }
-
-// Mutex is a FIFO mutual-exclusion lock for procs.
-type Mutex struct {
-	k      *Kernel
-	locked bool
-	cond   Cond
-}
-
-// NewMutex returns an unlocked mutex.
-func NewMutex(k *Kernel) *Mutex {
-	m := &Mutex{k: k}
-	m.cond.K = k
-	return m
-}
-
-// Lock blocks p until the mutex is acquired.
-func (m *Mutex) Lock(p *Proc) {
-	for m.locked {
-		m.cond.Wait(p)
-	}
-	m.locked = true
-}
-
-// Unlock releases the mutex and wakes one waiter.
-func (m *Mutex) Unlock() {
-	if !m.locked {
-		panic("sim: unlock of unlocked mutex")
-	}
-	m.locked = false
-	m.cond.Signal()
-}

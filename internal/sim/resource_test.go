@@ -84,38 +84,6 @@ func TestCostModelMonotonic(t *testing.T) {
 	}
 }
 
-func TestMutexFIFO(t *testing.T) {
-	k := New()
-	m := NewMutex(k)
-	var order []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.GoAfter(time.Duration(i)*time.Microsecond, "p", func(p *Proc) {
-			m.Lock(p)
-			order = append(order, i)
-			p.Sleep(10 * time.Microsecond)
-			m.Unlock()
-		})
-	}
-	k.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("lock order: %v", order)
-		}
-	}
-}
-
-func TestMutexDoubleUnlockPanics(t *testing.T) {
-	k := New()
-	m := NewMutex(k)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Unlock()
-}
-
 func TestResourceNextFreeAndReset(t *testing.T) {
 	k := New()
 	r := NewResource(k)
